@@ -2,7 +2,8 @@
 
 Each bench computes one paper table (or one dataset's slice of it),
 prints the rows, and persists them under ``benchmarks/results/`` so
-EXPERIMENTS.md can be regenerated from artifacts rather than scrollback.
+the paper-vs-measured tables can be regenerated from artifacts rather
+than scrollback.
 """
 from __future__ import annotations
 

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.linalg.coo import coo_plan, coo_spmm
+
 
 class MethodTooExpensive(Exception):
     """Raised when a baseline's faithful form cannot run at this scale.
@@ -40,12 +42,7 @@ def spmv_coo(
     out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray, v: np.ndarray, n: int
 ) -> np.ndarray:
     """``out[out_idx] += w · v[in_idx]`` — COO sparse-times-dense (reduceat)."""
-    order = np.argsort(out_idx, kind="stable")
-    oi, contrib = out_idx[order], v[in_idx[order]] * w[order][:, None]
-    uniq, starts = np.unique(oi, return_index=True)
-    out = np.zeros((n, v.shape[1]))
-    out[uniq] = np.add.reduceat(contrib, starts, axis=0)
-    return out
+    return coo_spmm(coo_plan(out_idx, in_idx, w), v, n)
 
 
 def sym_norm_adj(

@@ -15,27 +15,30 @@ SPMI transform ``F' = log2(n·P̂f + 1)``, ``B' = log2(d·P̂b + 1)``
 walk semantics of Section 2.2; see DESIGN.md deviation #1 on the
 Equation (1) typo.
 
-The Spark version (PAPMI) distributes the node dimension: the state
-DataFrames carry one length-d vector per node, SpMM is DataFrame
-message passing, and the per-block math runs in NumPy inside
-``applyInPandas`` — the paper's nb threads mapped onto Spark partitions.
+Both run the recurrence through one NumPy kernel, ``propagate``. The
+Spark version (PAPMI) partitions the attribute set, as the paper does:
+the columns of ``Pf``/``Pb`` propagate independently, so each of
+``min(nb, d)`` column-block tasks runs all ``t`` iterations on its own
+slice, with the walk matrix ``P`` and the slices broadcast once, and one
+transpose shuffle back to node blocks row-normalizes ``Pb``.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.linalg import (
-    col_normalize,
-    combine_states,
-    elementwise,
+    coo_plan,
+    coo_spmm,
     make_state,
-    row_normalize,
-    spmm,
+    normalize_cols,
+    normalize_rows,
     state_to_numpy,
-    walk_edges,
+    walk_weights,
 )
 
 
@@ -54,27 +57,30 @@ def normalize_attrs(
     """Dense ``(R_r, R_c)`` from COO associations (Equation 1, walk semantics)."""
     R = np.zeros((n, d))
     np.add.at(R, (node, attr), weight)
-    rs = R.sum(axis=1, keepdims=True)
-    Rr = np.divide(R, rs, out=np.zeros_like(R), where=rs > 0)
-    cs = R.sum(axis=0, keepdims=True)
-    Rc = np.divide(R, cs, out=np.zeros_like(R), where=cs > 0)
-    return Rr, Rc
+    return normalize_rows(R), normalize_cols(R)
 
 
-def _spmv_coo(
-    out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray, V: np.ndarray, n: int
-) -> np.ndarray:
-    """``out[out_idx] += w · V[in_idx]`` — COO sparse-times-dense in NumPy.
+def propagate(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    rr: np.ndarray,
+    rc: np.ndarray,
+    alpha: float,
+    t: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` steps of Equation (6) for ``(Pf, Pb)`` over any set of columns.
 
-    Sorted ``reduceat`` kernel (same trick as the Spark block kernel) —
-    ``np.add.at`` is an order of magnitude slower at bench scale.
+    ``(src, dst, w)`` are the nonzeros of ``P``; each direction is sorted
+    once, not once per step.
     """
-    order = np.argsort(out_idx, kind="stable")
-    oi, contrib = out_idx[order], V[in_idx[order]] * w[order][:, None]
-    uniq, starts = np.unique(oi, return_index=True)
-    out = np.zeros((n, V.shape[1]))
-    out[uniq] = np.add.reduceat(contrib, starts, axis=0)
-    return out
+    n = rr.shape[0]
+    fwd, bwd = coo_plan(src, dst, w), coo_plan(dst, src, w)
+    pf, pb = rr, rc
+    for _ in range(t):
+        pf = (1 - alpha) * coo_spmm(fwd, pf, n) + alpha * rr
+        pb = (1 - alpha) * coo_spmm(bwd, pb, n) + alpha * rc
+    return pf, pb
 
 
 def apmi_numpy(
@@ -89,19 +95,9 @@ def apmi_numpy(
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 2 (single-thread reference): returns ``(F', B')``."""
-    Rr, Rc = normalize_attrs(n, d, node, attr, weight)
-    deg = np.zeros(n)
-    np.add.at(deg, src, 1.0)
-    w = 1.0 / deg[src]  # random-walk weights of P = D^{-1} A
-    pf, pb = Rr.copy(), Rc.copy()
-    for _ in range(t):
-        pf = (1 - alpha) * _spmv_coo(src, dst, w, pf, n) + alpha * Rr
-        pb = (1 - alpha) * _spmv_coo(dst, src, w, pb, n) + alpha * Rc
-    cs = pf.sum(axis=0, keepdims=True)
-    pf_hat = np.divide(pf, cs, out=np.zeros_like(pf), where=cs > 0)
-    rs = pb.sum(axis=1, keepdims=True)
-    pb_hat = np.divide(pb, rs, out=np.zeros_like(pb), where=rs > 0)
-    return np.log2(n * pf_hat + 1), np.log2(d * pb_hat + 1)
+    rr, rc = normalize_attrs(n, d, node, attr, weight)
+    pf, pb = propagate(src, dst, walk_weights(n, src), rr, rc, alpha, t)
+    return np.log2(n * normalize_cols(pf) + 1), np.log2(d * normalize_rows(pb) + 1)
 
 
 def papmi_from_states(
@@ -114,23 +110,80 @@ def papmi_from_states(
     t: int,
     nb: int,
 ) -> tuple[DataFrame, DataFrame]:
-    """Algorithm 6 (PAPMI) core loop on pre-built R_r/R_c states.
+    """Algorithm 6 (PAPMI) on pre-built R_r/R_c states: ``(F', B')`` states.
 
-    The recurrence lineage is cut with ``localCheckpoint`` each
-    iteration so the plan stays flat across the t SpMM rounds.
+    The edge list and the nonzeros of ``R_r``/``R_c`` are collected once;
+    ``P`` and ``R``, cut into ``min(nb, d)`` contiguous attribute-column
+    blocks, are broadcast, so both must fit in the driver's and in one
+    task's memory (DESIGN.md system #4). One task per column block
+    densifies its n-row slices, runs all ``t`` iterations and finishes
+    ``F'`` (column normalization is local to a column). One transpose
+    shuffle to node blocks ``node % nb`` then row-normalizes ``Pb`` into
+    ``B'``. Both states carry a row for every node ``0..n-1`` and are
+    materialized once, together.
     """
-    ew = edges_to_walk(edges)
-    pf, pb = rr_state, rc_state
-    for _ in range(t):
-        pf = combine_states(
-            1 - alpha, spmm(ew, pf, nb), alpha, rr_state, d, nb
-        ).localCheckpoint(eager=True)
-        pb = combine_states(
-            1 - alpha, spmm(ew, pb, nb, transpose=True), alpha, rc_state, d, nb
-        ).localCheckpoint(eager=True)
-    f = elementwise(col_normalize(pf, d), lambda m: np.log2(n * m + 1))
-    b = elementwise(row_normalize(pb), lambda m: np.log2(d * m + 1))
-    return f.localCheckpoint(eager=True), b.localCheckpoint(eager=True)
+    spark = rr_state.sparkSession
+    e = edges.select("src", "dst").toPandas()
+    src, dst = e["src"].to_numpy(np.int64), e["dst"].to_numpy(np.int64)
+    nc = min(nb, d)
+    # Column block c holds attributes [lo[c], lo[c+1]); attr a is in block a·nc // d.
+    lo = [-(-c * d // nc) for c in range(nc + 1)]
+
+    def entries(state: DataFrame, kind: int) -> DataFrame:
+        return state.select(
+            F.lit(kind).alias("kind"), "node", F.posexplode("vec").alias("attr", "w")
+        ).filter("w != 0")
+
+    r = entries(rr_state, 0).unionByName(entries(rc_state, 1)).toPandas()
+    slices = [r[r["attr"] * nc // d == c] for c in range(nc)]
+    shared = spark.sparkContext.broadcast((src, dst, walk_weights(n, src), slices))
+    node_blocks = [np.arange(blk, n, nb) for blk in range(min(nb, n))]
+
+    def column_block(batches):
+        src, dst, w, slices = shared.value
+        for pdf in batches:
+            for c in pdf["id"]:
+                s = slices[c]
+                rs = np.zeros((2, n, lo[c + 1] - lo[c]))
+                rs[s["kind"], s["node"], s["attr"] - lo[c]] = s["w"]
+                pf, pb = propagate(src, dst, w, rs[0], rs[1], alpha, t)
+                f = np.log2(n * normalize_cols(pf) + 1)
+                yield pd.DataFrame(
+                    {
+                        "cblk": np.int32(c),
+                        "block": np.arange(len(node_blocks), dtype=np.int32),
+                        "node": node_blocks,
+                        "f": [f[ids].ravel() for ids in node_blocks],
+                        "pb": [pb[ids].ravel() for ids in node_blocks],
+                    }
+                )
+
+    def node_block(pdf: pd.DataFrame) -> pd.DataFrame:
+        pdf = pdf.sort_values("cblk")
+        ids = pdf["node"].iloc[0]
+        f = np.hstack([s.reshape(len(ids), -1) for s in pdf["f"]])
+        pb = np.hstack([s.reshape(len(ids), -1) for s in pdf["pb"]])
+        b = np.log2(d * normalize_rows(pb) + 1)
+        return pd.DataFrame(
+            {"block": pdf["block"].iloc[0], "node": ids, "f": list(f), "b": list(b)}
+        )
+
+    # spark.range pins one column block to each task; no shuffle can merge them.
+    out = (
+        spark.range(nc, numPartitions=nc)
+        .mapInPandas(
+            column_block,
+            "cblk int, block int, node array<long>, f array<double>, pb array<double>",
+        )
+        .groupBy("block")
+        .applyInPandas(node_block, "block int, node long, f array<double>, b array<double>")
+        .localCheckpoint(eager=True)
+    )
+    shared.unpersist()
+    return (
+        out.select("block", "node", F.col("f").alias("vec")),
+        out.select("block", "node", F.col("b").alias("vec")),
+    )
 
 
 def papmi_spark(
@@ -148,11 +201,6 @@ def papmi_spark(
     rr_state = make_state(spark, rr, nb).localCheckpoint(eager=True)
     rc_state = make_state(spark, rc, nb).localCheckpoint(eager=True)
     return papmi_from_states(edges, rr_state, rc_state, n, d, alpha, t, nb)
-
-
-def edges_to_walk(edges: DataFrame) -> DataFrame:
-    """Cache-once wrapper for the walk-weighted edge list (nonzeros of P)."""
-    return walk_edges(edges).localCheckpoint(eager=True)
 
 
 def affinities_spark_to_numpy(

@@ -62,51 +62,54 @@ def sm_greedy_init_spark(
     ``(block, node, f, b, xf, xb)``; ``Y`` lives on the driver (it is
     d×k/2 and is broadcast into every CCD phase). With
     ``random_init=True`` the SVD seeding is replaced by Gaussian noise
-    — the PANE-R ablation of Section 5.7, sharing all other machinery.
+    and the split-merge RandSVD is skipped — the PANE-R ablation of
+    Section 5.7, sharing all other machinery.
     """
-    # -- Split phase: one RandSVD per node block (Alg. 7 Lines 1-3). The
-    # block's U_i = ΦΣ rows stay distributed (node >= 0); its V_i^T rows
-    # are emitted with sentinel node ids -(1..k2) and collected, since the
-    # merge input [V1 … Vnb]^T is small by construction.
-    def split(pdf: pd.DataFrame) -> pd.DataFrame:
-        blk = np.int32(pdf["block"].iloc[0])
-        fi = np.stack(pdf["vec"].to_numpy())
-        u, s, v = rand_svd(fi, k2, t, seed=seed + 17 * int(blk))
-        ui = u @ s
-        urows = pd.DataFrame(
-            {"block": blk, "node": pdf["node"].to_numpy(), "vec": list(ui)}
-        )
-        vrows = pd.DataFrame(
-            {
-                "block": blk,
-                "node": -(np.arange(k2, dtype=np.int64) + 1),
-                "vec": list(v.T),
-            }
-        )
-        return pd.concat([urows, vrows], ignore_index=True)
-
-    mixed = (
-        f_state.groupBy("block")
-        .applyInPandas(split, STATE_SCHEMA)
-        .localCheckpoint(eager=True)
+    combined = f_state.select("block", "node", f_state["vec"].alias("f")).join(
+        b_state.select("node", b_state["vec"].alias("b")), "node"
     )
-    v_pdf = mixed.filter("node < 0").toPandas()
-    blocks = sorted(v_pdf["block"].unique().tolist())
-    pos = {blk: i for i, blk in enumerate(blocks)}
+    if random_init:
+        y = np.random.default_rng(seed + 2003).standard_normal((d, k2)) / np.sqrt(k2)
+    else:
+        # -- Split phase: one RandSVD per node block (Alg. 7 Lines 1-3). The
+        # block's U_i = ΦΣ rows stay distributed (node >= 0); its V_i^T rows
+        # are emitted with sentinel node ids -(1..k2) and collected, since the
+        # merge input [V1 … Vnb]^T is small by construction.
+        def split(pdf: pd.DataFrame) -> pd.DataFrame:
+            blk = np.int32(pdf["block"].iloc[0])
+            fi = np.stack(pdf["vec"].to_numpy())
+            u, s, v = rand_svd(fi, k2, t, seed=seed + 17 * int(blk))
+            ui = u @ s
+            urows = pd.DataFrame(
+                {"block": blk, "node": pdf["node"].to_numpy(), "vec": list(ui)}
+            )
+            vrows = pd.DataFrame(
+                {
+                    "block": blk,
+                    "node": -(np.arange(k2, dtype=np.int64) + 1),
+                    "vec": list(v.T),
+                }
+            )
+            return pd.concat([urows, vrows], ignore_index=True)
 
-    # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
-    v_pdf = v_pdf.sort_values(["block", "node"], ascending=[True, False])
-    v_stack = np.stack(v_pdf["vec"].to_numpy())
-    phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
-    w = phi @ sig  # (nb·k2, k2); block i owns rows [i·k2, (i+1)·k2)
+        mixed = (
+            f_state.groupBy("block")
+            .applyInPandas(split, STATE_SCHEMA)
+            .localCheckpoint(eager=True)
+        )
+        v_pdf = mixed.filter("node < 0").toPandas()
+        blocks = sorted(v_pdf["block"].unique().tolist())
+        pos = {blk: i for i, blk in enumerate(blocks)}
 
-    # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
-    u_state = mixed.filter("node >= 0")
-    combined = (
-        f_state.select("block", "node", f_state["vec"].alias("f"))
-        .join(b_state.select("node", b_state["vec"].alias("b")), "node")
-        .join(u_state.select("node", u_state["vec"].alias("u")), "node")
-    )
+        # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
+        v_pdf = v_pdf.sort_values(["block", "node"], ascending=[True, False])
+        v_stack = np.stack(v_pdf["vec"].to_numpy())
+        phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
+        w = phi @ sig  # (nb·k2, k2); block i owns rows [i·k2, (i+1)·k2)
+
+        # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
+        u_state = mixed.filter("node >= 0")
+        combined = combined.join(u_state.select("node", u_state["vec"].alias("u")), "node")
 
     def assemble(pdf: pd.DataFrame) -> pd.DataFrame:
         blk = int(pdf["block"].iloc[0])
@@ -137,6 +140,4 @@ def sm_greedy_init_spark(
         .applyInPandas(assemble, CCD_STATE_SCHEMA)
         .localCheckpoint(eager=True)
     )
-    if random_init:
-        y = np.random.default_rng(seed + 2003).standard_normal((d, k2)) / np.sqrt(k2)
     return state, y

@@ -60,6 +60,37 @@ class PaneEmbedding:
         return np.hstack([norm(self.xf), norm(self.xb)])
 
 
+def check_inputs(
+    n: int,
+    d: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    node: np.ndarray,
+    attr: np.ndarray,
+    weight: np.ndarray,
+    k: int,
+    nb: int = 1,
+) -> None:
+    """Raise ``ValueError`` on input that either pipeline would mis-handle."""
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if len(src) != len(dst):
+        raise ValueError(f"src and dst lengths differ: {len(src)} vs {len(dst)}")
+    if not len(node) == len(attr) == len(weight):
+        raise ValueError(
+            f"node, attr and weight lengths differ: {len(node)}, {len(attr)}, {len(weight)}"
+        )
+    for name, ids, hi in (("src", src, n), ("dst", dst, n), ("node", node, n), ("attr", attr, d)):
+        if len(ids) and (np.min(ids) < 0 or np.max(ids) >= hi):
+            raise ValueError(f"{name} ids must lie in [0, {hi})")
+    if not np.all(np.asarray(weight) > 0):
+        raise ValueError("attribute weights must be > 0")
+    if k < 2 or k % 2:
+        raise ValueError(f"k must be even and >= 2, got {k}")
+    if nb < 1:
+        raise ValueError(f"nb must be >= 1, got {nb}")
+
+
 def pane_numpy(
     n: int,
     d: int,
@@ -75,6 +106,7 @@ def pane_numpy(
     greedy: bool = True,
 ) -> PaneEmbedding:
     """Algorithm 1: APMI → GreedyInit → SVDCCD, all in NumPy."""
+    check_inputs(n, d, src, dst, node, attr, weight, k)
     t = num_iterations(eps, alpha)
     f, b = apmi_numpy(n, d, src, dst, node, attr, weight, alpha, t)
     k2 = k // 2
@@ -93,7 +125,8 @@ def attr_states(
 
     Normalizations run as Spark aggregations (Alg. 6 Line 1); the dense
     per-node rows are assembled per block. Nodes with no attributes get
-    no row (zero-row semantics, DESIGN.md deviation #2).
+    no row (zero-row semantics, DESIGN.md deviation #2); PAPMI's output
+    has a row for every node.
     """
     node_sum = attrs.groupBy("node").agg(F.sum("weight").alias("ns"))
     attr_sum = attrs.groupBy("attr").agg(F.sum("weight").alias("as"))
@@ -149,6 +182,7 @@ def pane_spark(
     (n×k/2 each — the same driver-resident output the paper writes to
     disk).
     """
+    check_inputs(n, d, src, dst, node, attr, weight, k, nb)
     t = num_iterations(eps, alpha)
     k2 = k // 2
     edges = edges_df(spark, src, dst)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import (
     ArrayType,
     DoubleType,
@@ -54,9 +53,8 @@ def make_state(
 def state_to_numpy(state: DataFrame, n: int, d: int) -> np.ndarray:
     """Collect a state DataFrame back into a dense ``(n, d)`` matrix.
 
-    Nodes absent from the state get zero rows — this mirrors the sparse
-    semantics of message passing (a node that received no messages has
-    an all-zero vector).
+    Nodes absent from the state get zero rows: the ``R_r``/``R_c`` states
+    of ``attr_states`` have no row for an attribute-less node.
     """
     pdf = state.select("node", "vec").toPandas()
     out = np.zeros((n, d), dtype=np.float64)
@@ -84,15 +82,3 @@ def attrs_df(
     )
     return spark.createDataFrame(pdf)
 
-
-def walk_edges(edges: DataFrame) -> DataFrame:
-    """Attach random-walk weights ``w = 1 / outdeg(src)`` to each edge.
-
-    This materializes the nonzero entries of the paper's random-walk
-    matrix ``P = D^{-1} A``. Dangling nodes (out-degree 0) simply have
-    no row — a zero row in ``P`` (DESIGN.md deviation #3).
-    """
-    deg = edges.groupBy("src").agg(F.count(F.lit(1)).alias("outdeg"))
-    return edges.join(deg, "src").select(
-        "src", "dst", (F.lit(1.0) / F.col("outdeg")).alias("w")
-    )

@@ -1,26 +1,23 @@
-"""Spark tests for the distributed linear-algebra substrate (system #1).
+"""Tests for the linear-algebra substrate (system #1).
 
-SpMM / normalization / state conversions are checked both against NumPy
-references and — where the operation is SQL-expressible — against the
-DuckDB oracle (``repro.oracle``), so a broken join or aggregation is
-caught as a wrong *result*, not just a crash.
+State DataFrame conversions run on Spark. The COO kernels both
+pipelines share (walk weights, presorted SpMM, normalizations) are
+checked against dense NumPy references and — where the operation is
+SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
+wrong gather or aggregation is caught as a wrong *result*.
 """
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.linalg import (
-    col_normalize,
-    col_sums,
-    combine_states,
-    edges_df,
-    elementwise,
+    coo_plan,
+    coo_spmm,
     make_state,
-    row_normalize,
-    spmm,
+    normalize_cols,
+    normalize_rows,
     state_to_numpy,
-    walk_edges,
+    walk_weights,
 )
 from repro.oracle import assert_equivalent
 
@@ -67,10 +64,9 @@ class TestStateRoundtrip:
 class TestWalkEdges:
     def test_weights_vs_duckdb(self, spark):
         src, dst = _random_graph(seed=2)
-        e = edges_df(spark, src, dst)
-        got = walk_edges(e)
+        got = pd.DataFrame({"src": src, "dst": dst, "w": walk_weights(30, src)})
         assert_equivalent(
-            got.select("src", "dst", "w"),
+            spark.createDataFrame(got),
             """
             SELECT e.src AS src, e.dst AS dst,
                    1.0 / CAST(d.outdeg AS DOUBLE) AS w
@@ -81,25 +77,27 @@ class TestWalkEdges:
             edges=pd.DataFrame({"src": src, "dst": dst}),
         )
 
-    def test_rows_sum_to_one(self, spark):
+    def test_rows_sum_to_one(self):
         src, dst = _random_graph(seed=3)
-        e = edges_df(spark, src, dst)
-        sums = walk_edges(e).groupBy("src").agg(F.sum("w").alias("s")).toPandas()
-        assert np.allclose(sums["s"], 1.0)
+        sums = np.bincount(src, weights=walk_weights(30, src), minlength=30)
+        assert np.allclose(sums[np.unique(src)], 1.0)
 
 
 class TestSpmm:
     @pytest.mark.parametrize("nb", [1, 2, 7])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_matches_numpy(self, spark, nb, transpose):
+    def test_matches_numpy(self, nb, transpose):
+        """One plan serves every column block, as in a PAPMI task."""
         n, dcols = 25, 4
         src, dst = _random_graph(n=n, m=100, seed=4)
         mat = np.random.default_rng(5).standard_normal((n, dcols))
         p = _p_dense(n, src, dst)
         expected = (p.T if transpose else p) @ mat
-        ew = walk_edges(edges_df(spark, src, dst))
-        st = make_state(spark, mat, nb)
-        got = state_to_numpy(spmm(ew, st, nb, transpose=transpose), n, dcols)
+        w = walk_weights(n, src)
+        plan = coo_plan(dst, src, w) if transpose else coo_plan(src, dst, w)
+        got = np.hstack(
+            [coo_spmm(plan, blk, n) for blk in np.array_split(mat, nb, axis=1)]
+        )
         assert np.allclose(got, expected, atol=1e-10)
 
     def test_spmm_vs_duckdb_scalar_column(self, spark):
@@ -107,98 +105,55 @@ class TestSpmm:
         n = 20
         src, dst = _random_graph(n=n, m=80, seed=6)
         vec = np.random.default_rng(7).random(n)
-        ew = walk_edges(edges_df(spark, src, dst))
-        st = make_state(spark, vec[:, None], 3)
-        got_state = spmm(ew, st, 3)
-        got = got_state.select(
-            "node", F.element_at("vec", 1).alias("val")
-        )
-        deg = np.zeros(n)
-        np.add.at(deg, src, 1.0)
+        w = walk_weights(n, src)
+        out = coo_spmm(coo_plan(src, dst, w), vec[:, None], n)[:, 0]
+        rows = np.unique(src)
+        got = pd.DataFrame({"node": rows, "val": out[rows]})
         assert_equivalent(
-            got,
+            spark.createDataFrame(got),
             """
             SELECT e.src AS node, SUM(e.w * v.x) AS val
             FROM edges_w e JOIN vecs v ON e.dst = v.node
             GROUP BY e.src
             """,
-            edges_w=pd.DataFrame({"src": src, "dst": dst, "w": 1.0 / deg[src]}),
+            edges_w=pd.DataFrame({"src": src, "dst": dst, "w": w}),
             vecs=pd.DataFrame({"node": np.arange(n), "x": vec}),
         )
 
-    def test_output_sparse_only_message_receivers(self, spark):
-        # star graph: only node 0 has out-edges → only row 0 in output
+    def test_output_sparse_only_message_receivers(self):
+        # star graph: only node 0 has out-edges → only row 0 is nonzero
         src = np.array([0, 0, 0], dtype=np.int64)
         dst = np.array([1, 2, 3], dtype=np.int64)
-        ew = walk_edges(edges_df(spark, src, dst))
-        st = make_state(spark, np.ones((4, 2)), 2)
-        out = spmm(ew, st, 2).toPandas()
-        assert out["node"].tolist() == [0]
-        assert np.allclose(np.stack(out["vec"]), [[1.0, 1.0]])
-
-
-class TestCombineStates:
-    @pytest.mark.parametrize("nb", [1, 4])
-    def test_axpy(self, spark, nb):
-        a = np.random.default_rng(8).standard_normal((12, 3))
-        b = np.random.default_rng(9).standard_normal((12, 3))
-        sa, sb = make_state(spark, a, nb), make_state(spark, b, nb)
-        got = state_to_numpy(combine_states(0.5, sa, 2.0, sb, 3, nb), 12, 3)
-        assert np.allclose(got, 0.5 * a + 2.0 * b)
-
-    def test_missing_rows_zero_filled(self, spark):
-        a = np.ones((3, 2))
-        b = np.full((2, 2), 5.0)
-        sa = make_state(spark, a, 2, ids=np.array([0, 1, 2]))
-        sb = make_state(spark, b, 2, ids=np.array([1, 4]))
-        got = state_to_numpy(combine_states(1.0, sa, 1.0, sb, 2, 2), 5, 2)
-        assert np.allclose(got[0], [1, 1])
-        assert np.allclose(got[1], [6, 6])
-        assert np.allclose(got[3], [0, 0])
-        assert np.allclose(got[4], [5, 5])
+        plan = coo_plan(src, dst, walk_weights(4, src))
+        out = coo_spmm(plan, np.ones((4, 2)), 4)
+        assert np.allclose(out, [[1.0, 1.0], [0, 0], [0, 0], [0, 0]])
 
 
 class TestNormalizeAndSums:
-    def test_col_sums(self, spark):
-        m = np.random.default_rng(10).random((15, 6))
-        st = make_state(spark, m, 4)
-        assert np.allclose(col_sums(st, 6), m.sum(axis=0))
-
-    def test_col_normalize(self, spark):
+    def test_col_normalize(self):
         m = np.random.default_rng(11).random((15, 4))
         m[:, 2] = 0.0  # zero column must stay zero
-        st = make_state(spark, m, 3)
-        got = state_to_numpy(col_normalize(st, 4), 15, 4)
+        got = normalize_cols(m)
         expected = m / np.where(m.sum(0) > 0, m.sum(0), 1.0)
         assert np.allclose(got, expected)
         assert np.allclose(got[:, 2], 0.0)
 
-    def test_row_normalize(self, spark):
+    def test_row_normalize(self):
         m = np.random.default_rng(12).random((10, 4))
         m[3] = 0.0  # zero row must stay zero
-        st = make_state(spark, m, 3)
-        got = state_to_numpy(row_normalize(st), 10, 4)
+        got = normalize_rows(m)
         sums = got.sum(axis=1)
         assert np.allclose(sums[np.arange(10) != 3], 1.0)
         assert np.allclose(got[3], 0.0)
 
     def test_row_normalize_vs_duckdb(self, spark):
         m = np.abs(np.random.default_rng(13).random((8, 3))) + 0.1
-        st = make_state(spark, m, 2)
-        got = row_normalize(st).select(
-            "node", F.element_at("vec", 1).alias("c0")
-        )
+        got = pd.DataFrame({"node": np.arange(8), "c0": normalize_rows(m)[:, 0]})
         pdf = pd.DataFrame(
             {"node": np.arange(8), "c0": m[:, 0], "rs": m.sum(axis=1)}
         )
         assert_equivalent(
-            got,
+            spark.createDataFrame(got),
             "SELECT node, c0 / rs AS c0 FROM t",
             t=pdf,
         )
-
-    def test_elementwise(self, spark):
-        m = np.random.default_rng(14).random((9, 3))
-        st = make_state(spark, m, 2)
-        got = state_to_numpy(elementwise(st, lambda x: np.log1p(2 * x)), 9, 3)
-        assert np.allclose(got, np.log1p(2 * m))

@@ -155,3 +155,70 @@ class TestBetterThanRandomEmbeddings:
         )
         auc = roc_auc(s.test_label, emb.link_scores(s.test_src, s.test_dst))
         assert auc > 0.6
+
+
+class TestNoSilentNodeDrop:
+    @pytest.mark.parametrize("nb", [1, 3])
+    def test_source_only_attributeless_node_is_embedded(self, spark, nb):
+        """A node with out-edges but no in-edges and no attributes has an
+        F' row and no B' row; Spark must still embed it like NumPy does."""
+        rng = np.random.default_rng(nb)
+        n, d = 12, 5
+        src = np.concatenate([rng.integers(1, n, 30), [0, 0, 0]])
+        dst = np.concatenate([rng.integers(1, n, 30), [1, 2, 3]])
+        node = np.concatenate([np.arange(1, n), rng.integers(1, n, 10)])
+        attr = rng.integers(0, d, len(node))
+        weight = np.ones(len(node))
+        args = (n, d, src, dst, node, attr, weight)
+        emb_np = pane_numpy(*args, k=4, seed=0)
+        emb_sp = pane_spark(spark, *args, k=4, nb=nb, seed=0)
+
+        def embedded(e):
+            return (np.abs(e.xf).sum(axis=1) + np.abs(e.xb).sum(axis=1)) > 0
+
+        assert embedded(emb_np)[0]
+        assert not (embedded(emb_np) & ~embedded(emb_sp)).any()
+
+
+def _valid_input():
+    return dict(
+        n=4,
+        d=3,
+        src=np.array([0, 1, 2]),
+        dst=np.array([1, 2, 3]),
+        node=np.array([0, 1, 3]),
+        attr=np.array([0, 2, 1]),
+        weight=np.array([1.0, 2.0, 1.0]),
+    )
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(src=np.array([0, 1, 4])),
+            dict(dst=np.array([-1, 2, 3])),
+            dict(node=np.array([0, 1, 4])),
+            dict(attr=np.array([0, 3, 1])),
+            dict(dst=np.array([1, 2])),
+            dict(weight=np.array([1.0, 2.0])),
+            dict(weight=np.array([1.0, 0.0, 1.0])),
+            dict(weight=np.array([1.0, -2.0, 1.0])),
+            dict(k=3),
+            dict(k=0),
+            dict(nb=0),
+        ],
+        ids=[
+            "src-out-of-range", "dst-negative", "node-out-of-range",
+            "attr-out-of-range", "edge-lengths", "assoc-lengths",
+            "zero-weight", "negative-weight", "odd-k", "k-below-2", "nb-below-1",
+        ],
+    )
+    def test_bad_input_raises(self, spark, change):
+        kw = {**_valid_input(), "k": 4, **change}
+        nb = kw.pop("nb", 2)
+        if "nb" not in change:
+            with pytest.raises(ValueError):
+                pane_numpy(**kw)
+        with pytest.raises(ValueError):
+            pane_spark(spark, **kw, nb=nb)

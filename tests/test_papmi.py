@@ -6,6 +6,7 @@ from repro.core.affinity import (
     affinities_spark_to_numpy,
     apmi_numpy,
     normalize_attrs,
+    papmi_from_states,
     papmi_spark,
 )
 from repro.core.pane import attr_states
@@ -94,3 +95,77 @@ class TestAttrStates:
         assert rr[0, 1] == pytest.approx(1.0)  # 4/4 after merge
         rc = state_to_numpy(rc_s, 2, 2)
         assert rc[0, 1] == pytest.approx(1.0)
+
+
+def _degenerate_instance(n, d, attr_hi, seed):
+    """A random multigraph with every degenerate node kind PAPMI must handle.
+
+    Nodes ``0..n-4`` form a random graph with self-loops and duplicate
+    edges (an explicit duplicated self-loop at node 0 guarantees both).
+    Node ``n-3`` is source-only and attribute-less, ``n-2`` dangling
+    (in-edges only), ``n-1`` isolated and attribute-less. Attribute ids
+    are drawn from ``[0, attr_hi)``, so with ``attr_hi < d`` some
+    attribute columns (and column blocks) hold no entry.
+    """
+    rng = np.random.default_rng(seed)
+    core = n - 3
+    m = 3 * n
+    src = np.concatenate([rng.integers(0, core, m), [0, 0, n - 3, n - 3, 1]])
+    dst = np.concatenate([rng.integers(0, core, m), [0, 0, 1, 2, n - 2]])
+    n_assoc = 2 * n
+    node = np.concatenate([rng.integers(0, core, n_assoc), [n - 2]])
+    attr = rng.integers(0, attr_hi, n_assoc + 1)
+    w = 1.0 + rng.random(n_assoc + 1)
+    return src.astype(np.int64), dst.astype(np.int64), node.astype(np.int64), attr, w
+
+
+class TestDegenerateInputs:
+    """PAPMI ≡ APMI on the inputs the NumPy path accepts, with n rows out."""
+
+    @pytest.mark.parametrize(
+        "n,d,nb,attr_hi",
+        [
+            (12, 6, 3, 6),  # isolated, dangling, attribute-less, source-only
+            (12, 5, 1, 5),  # one block
+            (6, 3, 8, 3),  # nb > n and nb > d
+            (10, 8, 4, 2),  # column blocks with no entry
+            (9, 1, 3, 1),  # d = 1
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["dense", "attr_states"])
+    def test_papmi_equals_apmi(self, spark, n, d, nb, attr_hi, entry):
+        src, dst, node, attr, w = _degenerate_instance(n, d, attr_hi, seed=n + d + nb)
+        alpha, t = 0.5, 4
+        f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, alpha, t)
+        edges = edges_df(spark, src, dst)
+        if entry == "dense":
+            rr, rc = normalize_attrs(n, d, node, attr, w)
+            fs, bs = papmi_spark(spark, edges, n, d, rr, rc, alpha, t, nb)
+        else:
+            rr_s, rc_s = attr_states(spark, attrs_df(spark, node, attr, w), d, nb)
+            fs, bs = papmi_from_states(edges, rr_s, rc_s, n, d, alpha, t, nb)
+        for state in (fs, bs):
+            assert sorted(state.select("node").toPandas()["node"]) == list(range(n))
+        f, b = affinities_spark_to_numpy(fs, bs, n, d)
+        assert np.abs(f - f_ref).max() < 1e-9
+        assert np.abs(b - b_ref).max() < 1e-9
+
+
+class TestJobCount:
+    def test_jobs_independent_of_iterations(self, spark):
+        """PAPMI runs every iteration inside its tasks: no job per iteration."""
+        sc = spark.sparkContext
+        n, d = 24, 7
+        src, dst, node, attr, w = _instance(n, d)
+        rr, rc = normalize_attrs(n, d, node, attr, w)
+        edges = edges_df(spark, src, dst)
+        jobs = {}
+        for t in (2, 8):
+            group = f"papmi-job-count-t{t}"
+            sc.setJobGroup(group, group)
+            try:
+                papmi_spark(spark, edges, n, d, rr, rc, 0.5, t, 3)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            jobs[t] = len(sc.statusTracker().getJobIdsForGroup(group))
+        assert jobs[2] == jobs[8] > 0

@@ -1,4 +1,4 @@
-"""Tests for the table builders/formatters that generate EXPERIMENTS.md."""
+"""Tests for the table builders/formatters behind ``benchmarks/results/``."""
 import numpy as np
 import pytest
 
