@@ -20,7 +20,7 @@ Spark version (PAPMI) partitions the attribute set, as the paper does:
 the columns of ``Pf``/``Pb`` propagate independently, so each of
 ``min(nb, d)`` column-block tasks runs all ``t`` iterations on its own
 slice, with the walk matrix ``P`` and the slices broadcast once, and one
-transpose shuffle back to node blocks row-normalizes ``Pb``.
+transpose back to node blocks row-normalizes ``Pb``.
 """
 from __future__ import annotations
 
@@ -29,12 +29,13 @@ import math
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.linalg import (
+    STATE_SCHEMA,
+    block_state,
     coo_plan,
     coo_spmm,
-    make_state,
+    node_blocks,
     normalize_cols,
     normalize_rows,
     state_to_numpy,
@@ -101,110 +102,93 @@ def apmi_numpy(
 
 
 def papmi_from_states(
-    edges: DataFrame,
-    rr_state: DataFrame,
-    rc_state: DataFrame,
+    spark: SparkSession,
     n: int,
     d: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    node: np.ndarray,
+    attr: np.ndarray,
+    weight: np.ndarray,
     alpha: float,
     t: int,
     nb: int,
 ) -> tuple[DataFrame, DataFrame]:
-    """Algorithm 6 (PAPMI) on pre-built R_r/R_c states: ``(F', B')`` states.
+    """Algorithm 6 (PAPMI) from COO input: the ``(F', B')`` states.
 
-    The edge list and the nonzeros of ``R_r``/``R_c`` are collected once;
+    The driver normalizes ``R`` into ``R_r``/``R_c`` weights in O(nnz).
     ``P`` and ``R``, cut into ``min(nb, d)`` contiguous attribute-column
     blocks, are broadcast, so both must fit in the driver's and in one
     task's memory (DESIGN.md system #4). One task per column block
-    densifies its n-row slices, runs all ``t`` iterations and finishes
-    ``F'`` (column normalization is local to a column). One transpose
-    shuffle to node blocks ``node % nb`` then row-normalizes ``Pb`` into
-    ``B'``. Both states carry a row for every node ``0..n-1`` and are
-    materialized once, together.
+    densifies its n-row slices (duplicate ``(node, attr)`` pairs add up),
+    runs all ``t`` iterations and finishes ``F'`` (column normalization is
+    local to a column). One transpose, range-partitioned on the node
+    block, then lands each node block in its own partition, where ``Pb``
+    is row-normalized into ``B'``. The two states are the sides of one
+    materialized state DataFrame and cover every node ``0..n-1``.
     """
-    spark = rr_state.sparkSession
-    e = edges.select("src", "dst").toPandas()
-    src, dst = e["src"].to_numpy(np.int64), e["dst"].to_numpy(np.int64)
+    w_r = weight / np.bincount(node, weight, minlength=n)[node]
+    w_c = weight / np.bincount(attr, weight, minlength=d)[attr]
     nc = min(nb, d)
     # Column block c holds attributes [lo[c], lo[c+1]); attr a is in block a·nc // d.
     lo = [-(-c * d // nc) for c in range(nc + 1)]
-
-    def entries(state: DataFrame, kind: int) -> DataFrame:
-        return state.select(
-            F.lit(kind).alias("kind"), "node", F.posexplode("vec").alias("attr", "w")
-        ).filter("w != 0")
-
-    r = entries(rr_state, 0).unionByName(entries(rc_state, 1)).toPandas()
-    slices = [r[r["attr"] * nc // d == c] for c in range(nc)]
+    in_block = [attr * nc // d == c for c in range(nc)]
+    slices = [
+        (node[s], attr[s] - lo[c], w_r[s], w_c[s]) for c, s in enumerate(in_block)
+    ]
     shared = spark.sparkContext.broadcast((src, dst, walk_weights(n, src), slices))
-    node_blocks = [np.arange(blk, n, nb) for blk in range(min(nb, n))]
+    blocks = node_blocks(n, nb)
 
     def column_block(batches):
         src, dst, w, slices = shared.value
         for pdf in batches:
             for c in pdf["id"]:
-                s = slices[c]
-                rs = np.zeros((2, n, lo[c + 1] - lo[c]))
-                rs[s["kind"], s["node"], s["attr"] - lo[c]] = s["w"]
-                pf, pb = propagate(src, dst, w, rs[0], rs[1], alpha, t)
+                rows, cols, wr, wc = slices[c]
+                rr, rc = np.zeros((2, n, lo[c + 1] - lo[c]))
+                np.add.at(rr, (rows, cols), wr)
+                np.add.at(rc, (rows, cols), wc)
+                pf, pb = propagate(src, dst, w, rr, rc, alpha, t)
                 f = np.log2(n * normalize_cols(pf) + 1)
                 yield pd.DataFrame(
                     {
+                        "block": np.arange(len(blocks), dtype=np.int32),
                         "cblk": np.int32(c),
-                        "block": np.arange(len(node_blocks), dtype=np.int32),
-                        "node": node_blocks,
-                        "f": [f[ids].ravel() for ids in node_blocks],
-                        "pb": [pb[ids].ravel() for ids in node_blocks],
+                        "f": [f[ids].ravel() for ids in blocks],
+                        "pb": [pb[ids].ravel() for ids in blocks],
                     }
                 )
 
-    def node_block(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("cblk")
-        ids = pdf["node"].iloc[0]
-        f = np.hstack([s.reshape(len(ids), -1) for s in pdf["f"]])
-        pb = np.hstack([s.reshape(len(ids), -1) for s in pdf["pb"]])
-        b = np.log2(d * normalize_rows(pb) + 1)
-        return pd.DataFrame(
-            {"block": pdf["block"].iloc[0], "node": ids, "f": list(f), "b": list(b)}
-        )
+    def node_block(batches):
+        pdfs = list(batches)
+        if not pdfs:
+            return
+        pdf = pd.concat(pdfs).sort_values(["block", "cblk"])
+        for blk in pdf["block"].unique():  # one block, once pinned
+            ids = blocks[blk]
+            part = pdf[pdf["block"] == blk]
+            f = np.hstack([s.reshape(len(ids), -1) for s in part["f"]])
+            pb = np.hstack([s.reshape(len(ids), -1) for s in part["pb"]])
+            yield block_state(blk, ids, f, np.log2(d * normalize_rows(pb) + 1))
 
-    # spark.range pins one column block to each task; no shuffle can merge them.
-    out = (
+    # spark.range pins one column block to each task. The range partitioner
+    # samples its input in a job of its own, so the column stage is
+    # checkpointed first and runs once.
+    cols = (
         spark.range(nc, numPartitions=nc)
-        .mapInPandas(
-            column_block,
-            "cblk int, block int, node array<long>, f array<double>, pb array<double>",
-        )
-        .groupBy("block")
-        .applyInPandas(node_block, "block int, node long, f array<double>, b array<double>")
+        .mapInPandas(column_block, "block int, cblk int, f array<double>, pb array<double>")
+        .localCheckpoint(eager=True)
+    )
+    state = (
+        cols.repartitionByRange(len(blocks), "block")
+        .mapInPandas(node_block, STATE_SCHEMA)
         .localCheckpoint(eager=True)
     )
     shared.unpersist()
-    return (
-        out.select("block", "node", F.col("f").alias("vec")),
-        out.select("block", "node", F.col("b").alias("vec")),
-    )
-
-
-def papmi_spark(
-    spark: SparkSession,
-    edges: DataFrame,
-    n: int,
-    d: int,
-    rr: np.ndarray,
-    rc: np.ndarray,
-    alpha: float,
-    t: int,
-    nb: int,
-) -> tuple[DataFrame, DataFrame]:
-    """Algorithm 6 (PAPMI) from dense ``(R_r, R_c)`` — the test entry point."""
-    rr_state = make_state(spark, rr, nb).localCheckpoint(eager=True)
-    rc_state = make_state(spark, rc, nb).localCheckpoint(eager=True)
-    return papmi_from_states(edges, rr_state, rc_state, n, d, alpha, t, nb)
+    return state.filter("side = 0"), state.filter("side = 1")
 
 
 def affinities_spark_to_numpy(
     f_state: DataFrame, b_state: DataFrame, n: int, d: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collect distributed ``(F', B')`` for verification against Alg. 2."""
-    return state_to_numpy(f_state, n, d), state_to_numpy(b_state, n, d)
+    return state_to_numpy(f_state, n, d)[0], state_to_numpy(b_state, n, d)[1]

@@ -14,17 +14,16 @@ asserted in tests (``naive_svdccd_numpy``).
 The distributed Y-phase uses the moment identity from DESIGN.md:
 ``N := Xf^T Sf + Xb^T Sb = (Gf+Gb)·Y^T − (Xf^T F' + Xb^T B')`` — the
 four moments are tiny ((k/2)² and (k/2)×d) and computed by partial
-sums over partitions, after which the driver replays the exact cyclic
-update including the paper's dynamic maintenance (Equation 20) as
-``N[:,rj] −= µy·G[:,l]``.
+sums over the state's (side, node block) rows, after which the driver
+replays the exact cyclic update including the paper's dynamic
+maintenance (Equation 20) as ``N[:,rj] −= µy·G[:,l]``.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.greedy_init import CCD_STATE_SCHEMA
+from repro.linalg.matrix import STAGE_SCHEMA, rows_of, state_to_numpy
 
 _TINY = 1e-12
 
@@ -38,31 +37,34 @@ def objective(
     )
 
 
-def x_phase(
-    f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One CCD sweep over all node rows (Alg. 4 Lines 3-9), vectorized.
+def x_sweep(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One CCD sweep over the node rows of one side: ``Xf`` against ``F'``,
+    or ``Xb`` against ``B'`` (Alg. 4 Lines 3-9), vectorized.
 
-    Residual rows are formed fresh (``S = X·Y^T − M``), which equals the
-    paper's dynamically-maintained residuals exactly, then maintained
+    The residual rows are formed fresh (``S = X·Y^T − M``), which equals
+    the paper's dynamically-maintained residuals exactly, then maintained
     across the ``l`` loop per Equations (18)-(19). Pure function: inputs
-    are not mutated (the Spark block task reuses it verbatim).
+    are not mutated.
     """
-    xf, xb = xf.copy(), xb.copy()
-    sf = xf @ y.T - f
-    sb = xb @ y.T - b
+    x = x.copy()
+    s = x @ y.T - m
     for l in range(y.shape[1]):
         yl = y[:, l]
         denom = yl @ yl
         if denom < _TINY:
             continue
-        muf = (sf @ yl) / denom
-        mub = (sb @ yl) / denom
-        xf[:, l] -= muf
-        xb[:, l] -= mub
-        sf -= np.outer(muf, yl)
-        sb -= np.outer(mub, yl)
-    return xf, xb
+        mu = (s @ yl) / denom
+        x[:, l] -= mu
+        s -= np.outer(mu, yl)
+    return x
+
+
+def x_phase(
+    f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The X-phase of both sides: ``Xf`` is updated from ``F'`` alone and
+    ``Xb`` from ``B'`` alone, so PSVDCCD sweeps each side's rows apart."""
+    return x_sweep(f, xf, y), x_sweep(b, xb, y)
 
 
 def y_phase_from_moments(
@@ -145,91 +147,45 @@ def naive_svdccd_numpy(
     return xf, xb, y
 
 
-def _moments(state: DataFrame, k2: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed ``(G, C)`` moments via per-partition partial sums."""
-
-    def partial(it):
-        g = np.zeros((k2, k2))
-        c = np.zeros((k2, d))
-        for pdf in it:
-            if not len(pdf):
-                continue
-            xf = np.stack(pdf["xf"].to_numpy())
-            xb = np.stack(pdf["xb"].to_numpy())
-            fi = np.stack(pdf["f"].to_numpy())
-            bi = np.stack(pdf["b"].to_numpy())
-            g += xf.T @ xf + xb.T @ xb
-            c += xf.T @ fi + xb.T @ bi
-        yield pd.DataFrame({"g": [list(g.ravel())], "c": [list(c.ravel())]})
-
-    rows = state.mapInPandas(partial, "g array<double>, c array<double>").collect()
-    g = np.zeros((k2, k2))
-    c = np.zeros((k2, d))
-    for row in rows:
-        g += np.asarray(row["g"]).reshape(k2, k2)
-        c += np.asarray(row["c"]).reshape(k2, d)
-    return g, c
-
-
 def psvdccd_spark(
     state: DataFrame, y: np.ndarray, t: int
 ) -> tuple[DataFrame, np.ndarray]:
-    """Algorithm 8's refinement loop on the combined CCD state DataFrame.
+    """Algorithm 8's refinement loop on the CCD state DataFrame.
 
-    Each iteration: (i) X-phase per block inside ``applyInPandas`` with
-    ``Y`` shipped in the task closure (Alg. 8 Lines 3-10); (ii) moment
-    aggregation; (iii) exact Y-phase replay on the driver (Lines 11-16).
+    Each iteration is one narrow pass with ``Y`` shipped in the task
+    closure: every row sweeps its side's ``x`` (Alg. 8 Lines 3-10) and
+    emits its partial moments ``(xᵀx, xᵀm)``. The driver sums them into
+    ``(G, C)`` in block order and replays the exact Y-phase (Lines 11-16).
     """
-    k2 = y.shape[1]
-    d = y.shape[0]
+    d, k2 = y.shape
     for _ in range(t):
         y_cur = y
 
-        def xp(pdf: pd.DataFrame) -> pd.DataFrame:
-            fi = np.stack(pdf["f"].to_numpy())
-            bi = np.stack(pdf["b"].to_numpy())
-            xf = np.stack(pdf["xf"].to_numpy())
-            xb = np.stack(pdf["xb"].to_numpy())
-            xf, xb = x_phase(fi, bi, xf, xb, y_cur)
-            return pdf.assign(xf=list(xf), xb=list(xb))
+        def ccd_pass(batches):
+            for pdf in batches:
+                ms = rows_of(pdf, "m")
+                xs = [x_sweep(m, x, y_cur) for m, x in zip(ms, rows_of(pdf, "x"))]
+                yield pdf.assign(
+                    x=[x.ravel() for x in xs],
+                    out=[
+                        np.concatenate([(x.T @ x).ravel(), (x.T @ m).ravel()])
+                        for m, x in zip(ms, xs)
+                    ],
+                )
 
-        state = (
-            state.groupBy("block")
-            .applyInPandas(xp, CCD_STATE_SCHEMA)
-            .localCheckpoint(eager=True)
-        )
-        g, c = _moments(state, k2, d)
+        # The lazy checkpoint is filled by the collect's job: one job per pass.
+        stage = state.mapInPandas(ccd_pass, STAGE_SCHEMA).localCheckpoint(eager=False)
+        parts = sorted(stage.select("block", "side", "out").collect())
+        gc = np.sum([np.asarray(out) for _, _, out in parts], axis=0)
+        g, c = gc[: k2 * k2].reshape(k2, k2), gc[k2 * k2 :].reshape(k2, d)
         y = y_phase_from_moments(y, g, c)
+        state = stage.drop("out")
     return state, y
-
-
-def state_from_numpy(
-    spark, f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray, nb: int
-) -> DataFrame:
-    """Build the combined CCD state DataFrame from dense arrays (tests/benches)."""
-    n = f.shape[0]
-    ids = np.arange(n, dtype=np.int64)
-    pdf = pd.DataFrame(
-        {
-            "block": (ids % nb).astype(np.int32),
-            "node": ids,
-            "f": list(f.astype(np.float64)),
-            "b": list(b.astype(np.float64)),
-            "xf": list(xf.astype(np.float64)),
-            "xb": list(xb.astype(np.float64)),
-        }
-    )
-    return spark.createDataFrame(pdf, schema=CCD_STATE_SCHEMA).repartition(nb, "block")
 
 
 def collect_embeddings(
     state: DataFrame, n: int, k2: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull the final per-node embeddings ``(Xf, Xb)`` back to the driver."""
-    pdf = state.select("node", "xf", "xb").toPandas()
-    xf = np.zeros((n, k2))
-    xb = np.zeros((n, k2))
-    idx = pdf["node"].to_numpy()
-    xf[idx] = np.stack(pdf["xf"].to_numpy())
-    xb[idx] = np.stack(pdf["xb"].to_numpy())
+    xf, xb = state_to_numpy(state, n, k2, "x")
     return xf, xb

@@ -12,18 +12,10 @@ single-thread step of Algorithm 7 Lines 4–6).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.linalg.matrix import STATE_SCHEMA
+from repro.linalg.matrix import STAGE_SCHEMA, STATE_SCHEMA, rows_of
 from repro.linalg.randsvd import rand_svd
-
-# Combined per-node solver state used by SMGreedyInit → PSVDCCD:
-# the node's affinity rows (f, b) and its embedding rows (xf, xb).
-CCD_STATE_SCHEMA = (
-    "block int, node long, f array<double>, b array<double>, "
-    "xf array<double>, xb array<double>"
-)
 
 
 def greedy_init_numpy(
@@ -56,88 +48,64 @@ def sm_greedy_init_spark(
     seed: int = 0,
     random_init: bool = False,
 ) -> tuple[DataFrame, np.ndarray]:
-    """Algorithm 7 (SMGreedyInit): returns the combined CCD state and ``Y``.
+    """Algorithm 7 (SMGreedyInit): returns the CCD state and ``Y``.
 
-    The returned DataFrame has one row per node with columns
-    ``(block, node, f, b, xf, xb)``; ``Y`` lives on the driver (it is
-    d×k/2 and is broadcast into every CCD phase). With
-    ``random_init=True`` the SVD seeding is replaced by Gaussian noise
-    and the split-merge RandSVD is skipped — the PANE-R ablation of
-    Section 5.7, sharing all other machinery.
+    The returned state holds both sides of every node block, with ``x``
+    set to ``Xf`` (side 0) or ``Xb`` (side 1); ``Y`` lives on the driver
+    (it is d×k/2 and is shipped into every CCD pass). Both stages are
+    narrow maps over the blocks' rows. With ``random_init=True`` the SVD
+    seeding is replaced by Gaussian noise and the split-merge RandSVD is
+    skipped — the PANE-R ablation of Section 5.7, sharing all other
+    machinery.
     """
-    combined = f_state.select("block", "node", f_state["vec"].alias("f")).join(
-        b_state.select("node", b_state["vec"].alias("b")), "node"
-    )
     if random_init:
         y = np.random.default_rng(seed + 2003).standard_normal((d, k2)) / np.sqrt(k2)
     else:
         # -- Split phase: one RandSVD per node block (Alg. 7 Lines 1-3). The
-        # block's U_i = ΦΣ rows stay distributed (node >= 0); its V_i^T rows
-        # are emitted with sentinel node ids -(1..k2) and collected, since the
-        # merge input [V1 … Vnb]^T is small by construction.
-        def split(pdf: pd.DataFrame) -> pd.DataFrame:
-            blk = np.int32(pdf["block"].iloc[0])
-            fi = np.stack(pdf["vec"].to_numpy())
-            u, s, v = rand_svd(fi, k2, t, seed=seed + 17 * int(blk))
-            ui = u @ s
-            urows = pd.DataFrame(
-                {"block": blk, "node": pdf["node"].to_numpy(), "vec": list(ui)}
-            )
-            vrows = pd.DataFrame(
-                {
-                    "block": blk,
-                    "node": -(np.arange(k2, dtype=np.int64) + 1),
-                    "vec": list(v.T),
-                }
-            )
-            return pd.concat([urows, vrows], ignore_index=True)
+        # block's U_i = ΦΣ stays in its F' row; only V_i goes to the driver,
+        # since the merge input [V1 … Vnb]^T is small by construction.
+        def split(batches):
+            for pdf in batches:
+                svds = [
+                    rand_svd(fi, k2, t, seed=seed + 17 * int(blk))
+                    for blk, fi in zip(pdf["block"], rows_of(pdf, "m"))
+                ]
+                yield pdf.assign(
+                    x=[(u @ s).ravel() for u, s, _ in svds],
+                    out=[v.T.ravel() for _, _, v in svds],
+                )
 
-        mixed = (
-            f_state.groupBy("block")
-            .applyInPandas(split, STATE_SCHEMA)
-            .localCheckpoint(eager=True)
-        )
-        v_pdf = mixed.filter("node < 0").toPandas()
-        blocks = sorted(v_pdf["block"].unique().tolist())
-        pos = {blk: i for i, blk in enumerate(blocks)}
+        # The lazy checkpoint is filled by the collect's job: the split runs once.
+        f_state = f_state.mapInPandas(split, STAGE_SCHEMA).localCheckpoint(eager=False)
+        v_rows = sorted(f_state.select("block", "out").collect())
 
         # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
-        v_pdf = v_pdf.sort_values(["block", "node"], ascending=[True, False])
-        v_stack = np.stack(v_pdf["vec"].to_numpy())
+        v_stack = np.vstack([np.reshape(out, (k2, d)) for _, out in v_rows])
         phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
-        w = phi @ sig  # (nb·k2, k2); block i owns rows [i·k2, (i+1)·k2)
+        # Block i's W_i is its k2 rows of ΦΣ.
+        w = dict(zip([blk for blk, _ in v_rows], np.split(phi @ sig, len(v_rows))))
+        f_state = f_state.drop("out")
 
-        # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
-        u_state = mixed.filter("node >= 0")
-        combined = combined.join(u_state.select("node", u_state["vec"].alias("u")), "node")
-
-    def assemble(pdf: pd.DataFrame) -> pd.DataFrame:
-        blk = int(pdf["block"].iloc[0])
-        fi = np.stack(pdf["f"].to_numpy())
-        bi = np.stack(pdf["b"].to_numpy())
-        if random_init:
-            rng = np.random.default_rng(seed + 31 * blk)
-            scale = 1.0 / np.sqrt(k2)
-            xf = rng.standard_normal((len(pdf), k2)) * scale
-            xb = rng.standard_normal((len(pdf), k2)) * scale
-        else:
-            ui = np.stack(pdf["u"].to_numpy())
-            xf = ui @ w[pos[blk] * k2 : (pos[blk] + 1) * k2]
-            xb = bi @ y
-        return pd.DataFrame(
-            {
-                "block": np.int32(blk),
-                "node": pdf["node"].to_numpy(),
-                "f": list(fi),
-                "b": list(bi),
-                "xf": list(xf),
-                "xb": list(xb),
-            }
-        )
+    # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
+    def assemble(batches):
+        for pdf in batches:
+            xs = []
+            for side, blk, m, x in zip(
+                pdf["side"], pdf["block"], rows_of(pdf, "m"), rows_of(pdf, "x")
+            ):
+                if random_init:  # one stream per block: its Xf rows, then its Xb rows
+                    rng = np.random.default_rng(seed + 31 * int(blk))
+                    x = rng.standard_normal((2, len(m), k2))[side] * (1.0 / np.sqrt(k2))
+                elif side == 0:
+                    x = x @ w[blk]
+                else:
+                    x = m @ y
+                xs.append(x.ravel())
+            yield pdf.assign(x=xs)
 
     state = (
-        combined.groupBy("block")
-        .applyInPandas(assemble, CCD_STATE_SCHEMA)
+        f_state.unionByName(b_state)
+        .mapInPandas(assemble, STATE_SCHEMA)
         .localCheckpoint(eager=True)
     )
     return state, y

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
 from repro.core.ccd import collect_embeddings, psvdccd_spark, svdccd_numpy
@@ -23,7 +21,6 @@ from repro.core.greedy_init import (
     random_init_numpy,
     sm_greedy_init_spark,
 )
-from repro.linalg.matrix import STATE_SCHEMA, attrs_df, edges_df
 
 
 @dataclass
@@ -69,6 +66,8 @@ def check_inputs(
     attr: np.ndarray,
     weight: np.ndarray,
     k: int,
+    alpha: float,
+    eps: float,
     nb: int = 1,
 ) -> None:
     """Raise ``ValueError`` on input that either pipeline would mis-handle."""
@@ -83,12 +82,15 @@ def check_inputs(
     for name, ids, hi in (("src", src, n), ("dst", dst, n), ("node", node, n), ("attr", attr, d)):
         if len(ids) and (np.min(ids) < 0 or np.max(ids) >= hi):
             raise ValueError(f"{name} ids must lie in [0, {hi})")
-    if not np.all(np.asarray(weight) > 0):
-        raise ValueError("attribute weights must be > 0")
+    weight = np.asarray(weight)
+    if not np.all((weight > 0) & np.isfinite(weight)):
+        raise ValueError("attribute weights must be finite and > 0")
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
     if nb < 1:
         raise ValueError(f"nb must be >= 1, got {nb}")
+    if not (0 < alpha < 1 and 0 < eps < 1):
+        raise ValueError(f"need 0 < alpha < 1 and 0 < eps < 1, got alpha={alpha}, eps={eps}")
 
 
 def pane_numpy(
@@ -106,7 +108,7 @@ def pane_numpy(
     greedy: bool = True,
 ) -> PaneEmbedding:
     """Algorithm 1: APMI → GreedyInit → SVDCCD, all in NumPy."""
-    check_inputs(n, d, src, dst, node, attr, weight, k)
+    check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps)
     t = num_iterations(eps, alpha)
     f, b = apmi_numpy(n, d, src, dst, node, attr, weight, alpha, t)
     k2 = k // 2
@@ -116,45 +118,6 @@ def pane_numpy(
         xf, xb, y = random_init_numpy(n, d, k2, seed)
     xf, xb, y = svdccd_numpy(f, b, xf, xb, y, t)
     return PaneEmbedding(xf, xb, y)
-
-
-def attr_states(
-    spark: SparkSession, attrs: DataFrame, d: int, nb: int
-) -> tuple[DataFrame, DataFrame]:
-    """Distributed ``(R_r, R_c)`` state DataFrames from COO associations.
-
-    Normalizations run as Spark aggregations (Alg. 6 Line 1); the dense
-    per-node rows are assembled per block. Nodes with no attributes get
-    no row (zero-row semantics, DESIGN.md deviation #2); PAPMI's output
-    has a row for every node.
-    """
-    node_sum = attrs.groupBy("node").agg(F.sum("weight").alias("ns"))
-    attr_sum = attrs.groupBy("attr").agg(F.sum("weight").alias("as"))
-    rr = attrs.join(node_sum, "node").select(
-        "node", "attr", (F.col("weight") / F.col("ns")).alias("w")
-    )
-    rc = attrs.join(attr_sum, "attr").select(
-        "node", "attr", (F.col("weight") / F.col("as")).alias("w")
-    )
-
-    def densify(pdf: pd.DataFrame) -> pd.DataFrame:
-        blk = np.int32(pdf["block"].iloc[0])
-        nodes, inv = np.unique(pdf["node"].to_numpy(), return_inverse=True)
-        mat = np.zeros((len(nodes), d))
-        np.add.at(mat, (inv, pdf["attr"].to_numpy()), pdf["w"].to_numpy())
-        return pd.DataFrame(
-            {"block": np.full(len(nodes), blk), "node": nodes, "vec": list(mat)}
-        )
-
-    def to_state(coo: DataFrame) -> DataFrame:
-        return (
-            coo.withColumn("block", (F.col("node") % nb).cast("int"))
-            .groupBy("block")
-            .applyInPandas(densify, STATE_SCHEMA)
-            .localCheckpoint(eager=True)
-        )
-
-    return to_state(rr), to_state(rc)
 
 
 def pane_spark(
@@ -175,21 +138,18 @@ def pane_spark(
 ) -> PaneEmbedding:
     """Algorithm 5: PAPMI → SMGreedyInit → PSVDCCD on Spark DataFrames.
 
-    Inputs arrive as COO arrays (the datasets module's native format);
-    they are turned into edge/association DataFrames here so the whole
-    pipeline — normalization, propagation, factorization — runs as
-    distributed dataflow. The final embeddings are collected to NumPy
-    (n×k/2 each — the same driver-resident output the paper writes to
-    disk).
+    Inputs arrive as COO arrays (the datasets module's native format) and
+    go straight to PAPMI, which ships them to its tasks. From PAPMI on,
+    each node block is one pair of state rows in one partition, and every
+    stage is a narrow map over those rows. The final embeddings are
+    collected to NumPy (n×k/2 each — the same driver-resident output the
+    paper writes to disk).
     """
-    check_inputs(n, d, src, dst, node, attr, weight, k, nb)
+    check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps, nb)
     t = num_iterations(eps, alpha)
     k2 = k // 2
-    edges = edges_df(spark, src, dst)
-    assoc = attrs_df(spark, node, attr, weight)
-    rr_state, rc_state = attr_states(spark, assoc, d, nb)
     f_state, b_state = papmi_from_states(
-        edges, rr_state, rc_state, n, d, alpha, t, nb
+        spark, n, d, src, dst, node, attr, weight, alpha, t, nb
     )
     state, y = sm_greedy_init_spark(
         f_state, b_state, d, k2, t, seed, random_init=not greedy

@@ -3,12 +3,11 @@
 * **Sparse graph matrices** — the random-walk matrix ``P`` and the
   attribute matrix ``R`` — are COO arrays on the driver and in tasks
   (``coo``: walk weights, presorted SpMM, row/column normalization, the
-  kernels both pipelines share), and COO DataFrames ``(src, dst)`` /
-  ``(node, attr, weight)`` at the Spark entry point (``matrix``).
-* **Dense node-indexed matrices** (``R_r/R_c``, the affinities ``F'/B'``)
-  live in Spark as *state DataFrames*: one row per node with an
-  ``array<double>`` vector column, plus a ``block`` column that maps the
-  paper's ``nb`` threads onto Spark partitions.
+  kernels both pipelines share).
+* **Dense node-indexed matrices** (the affinities ``F'/B'`` and the
+  embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):
+  one row per (side, node block) holding the block's flattened rows, so
+  each of the paper's ``nb`` threads maps to one row pair and one task.
 * ``randsvd``: the randomized SVD of GreedyInit/SMGreedyInit.
 """
 from repro.linalg.coo import (  # noqa: F401
@@ -19,10 +18,11 @@ from repro.linalg.coo import (  # noqa: F401
     walk_weights,
 )
 from repro.linalg.matrix import (  # noqa: F401
+    STAGE_SCHEMA,
     STATE_SCHEMA,
-    attrs_df,
-    edges_df,
-    make_state,
+    block_state,
+    node_blocks,
+    rows_of,
     state_to_numpy,
 )
 from repro.linalg.randsvd import rand_svd  # noqa: F401

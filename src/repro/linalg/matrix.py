@@ -1,84 +1,66 @@
-"""COO / dense-state DataFrame constructors and converters.
+"""The Spark state layout of the parallel pipeline (Alg. 5-8).
 
-The *state DataFrame* layout — ``(block: int, node: long, vec:
-array<double>)`` — is the distributed representation of a dense n×d
-matrix whose rows are indexed by node id. ``block = node % nb`` gives a
-deterministic, balanced partitioning that mirrors the paper's equal
-split of the node set V into nb subsets (Algorithm 5, Line 1).
+Node block ``i`` of ``nb`` holds the nodes ``i, i+nb, i+2nb, …`` in
+increasing order — the paper's equal split of V into ``nb`` subsets
+(Algorithm 5, Line 1). A *state* DataFrame has one row per (side, node
+block): side 0 is forward (``F'``, ``Xf``), side 1 backward (``B'``,
+``Xb``). The row holds the block's node ids and its affinity rows ``m``
+and embedding rows ``x`` as flattened row-major matrices (``x`` is empty
+until SMGreedyInit fills it). PAPMI's transpose leaves each node block
+in its own partition, and every later stage is a narrow map, so no row
+moves between tasks from there to the final collect.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import (
-    ArrayType,
-    DoubleType,
-    IntegerType,
-    LongType,
-    StructField,
-    StructType,
-)
+from pyspark.sql import DataFrame
 
-STATE_SCHEMA = StructType(
-    [
-        StructField("block", IntegerType(), False),
-        StructField("node", LongType(), False),
-        StructField("vec", ArrayType(DoubleType()), False),
-    ]
-)
+STATE_SCHEMA = "side int, block int, node array<long>, m array<double>, x array<double>"
+# A stage that also hands the driver a small per-row result — a block's
+# Vᵢ in SMGreedyInit, its partial moments (G, C) in PSVDCCD — emits it in
+# one more column; the driver collects that column alone.
+STAGE_SCHEMA = STATE_SCHEMA + ", out array<double>"
 
 
-def make_state(
-    spark: SparkSession, mat: np.ndarray, nb: int, ids: np.ndarray | None = None
-) -> DataFrame:
-    """Distribute a dense ``(n, d)`` NumPy matrix as a state DataFrame.
+def node_blocks(n: int, nb: int) -> list[np.ndarray]:
+    """The sorted node ids of each non-empty block: block ``i`` is ``i, i+nb, …``."""
+    return [np.arange(blk, n, nb) for blk in range(min(nb, n))]
 
-    ``ids`` defaults to ``0..n-1``. The result is repartitioned by
-    ``block`` so each of the ``nb`` "threads" owns a contiguous task.
-    """
-    n = mat.shape[0]
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
-    pdf = pd.DataFrame(
+
+def block_state(
+    blk: int,
+    ids: np.ndarray,
+    f: np.ndarray,
+    b: np.ndarray,
+    xf: np.ndarray | None = None,
+    xb: np.ndarray | None = None,
+) -> pd.DataFrame:
+    """The two state rows of node block ``blk``: ``(F', Xf)`` and ``(B', Xb)``."""
+    empty = np.empty(0)
+    return pd.DataFrame(
         {
-            "block": (ids % nb).astype(np.int32),
-            "node": ids.astype(np.int64),
-            "vec": list(mat.astype(np.float64)),
+            "side": np.int32([0, 1]),
+            "block": np.int32(blk),
+            "node": [ids, ids],
+            "m": [f.ravel(), b.ravel()],
+            "x": [empty if xf is None else xf.ravel(), empty if xb is None else xb.ravel()],
         }
     )
-    return spark.createDataFrame(pdf, schema=STATE_SCHEMA).repartition(nb, "block")
 
 
-def state_to_numpy(state: DataFrame, n: int, d: int) -> np.ndarray:
-    """Collect a state DataFrame back into a dense ``(n, d)`` matrix.
+def rows_of(pdf: pd.DataFrame, col: str) -> list[np.ndarray]:
+    """The matrices of column ``col`` in a batch of state rows, one per row."""
+    return [np.reshape(v, (len(ids), -1)) for ids, v in zip(pdf["node"], pdf[col])]
 
-    Nodes absent from the state get zero rows: the ``R_r``/``R_c`` states
-    of ``attr_states`` have no row for an attribute-less node.
+
+def state_to_numpy(state: DataFrame, n: int, width: int, col: str = "m") -> np.ndarray:
+    """Collect column ``col`` of a state into a dense ``(2, n, width)`` array, by side.
+
+    Nodes absent from a side's rows are zero rows there.
     """
-    pdf = state.select("node", "vec").toPandas()
-    out = np.zeros((n, d), dtype=np.float64)
-    if len(pdf):
-        out[pdf["node"].to_numpy()] = np.stack(pdf["vec"].to_numpy())
+    pdf = state.select("side", "node", col).toPandas()
+    out = np.zeros((2, n, width))
+    for side, ids, mat in zip(pdf["side"], pdf["node"], rows_of(pdf, col)):
+        out[side, ids] = mat
     return out
-
-
-def edges_df(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
-    """Build an unweighted COO edge DataFrame ``(src, dst)``."""
-    pdf = pd.DataFrame({"src": src.astype(np.int64), "dst": dst.astype(np.int64)})
-    return spark.createDataFrame(pdf)
-
-
-def attrs_df(
-    spark: SparkSession, node: np.ndarray, attr: np.ndarray, weight: np.ndarray
-) -> DataFrame:
-    """Build the node-attribute association DataFrame ``(node, attr, weight)``."""
-    pdf = pd.DataFrame(
-        {
-            "node": node.astype(np.int64),
-            "attr": attr.astype(np.int64),
-            "weight": weight.astype(np.float64),
-        }
-    )
-    return spark.createDataFrame(pdf)
-

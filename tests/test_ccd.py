@@ -7,12 +7,12 @@ from repro.core.ccd import (
     naive_svdccd_numpy,
     objective,
     psvdccd_spark,
-    state_from_numpy,
     svdccd_numpy,
     x_phase,
     y_phase_from_moments,
 )
 from repro.core.greedy_init import greedy_init_numpy, random_init_numpy
+from tests.spark_states import pinned_state
 
 
 def _problem(n=18, d=7, k2=3, seed=0):
@@ -112,7 +112,7 @@ class TestPsvdccdSpark:
         """PSVDCCD ≡ SVDCCD: identical updates from identical seeds."""
         f, b, xf, xb, y = _problem(n=22, d=8, k2=3, seed=10)
         xf_ref, xb_ref, y_ref = svdccd_numpy(f, b, xf, xb, y, t=3)
-        state = state_from_numpy(spark, f, b, xf, xb, nb)
+        state = pinned_state(spark, nb, f, b, xf, xb)
         state, y_sp = psvdccd_spark(state, y, t=3)
         xf_sp, xb_sp = collect_embeddings(state, 22, 3)
         assert np.allclose(y_sp, y_ref, atol=1e-8)
@@ -122,14 +122,14 @@ class TestPsvdccdSpark:
     def test_objective_decreases_distributed(self, spark):
         f, b, xf, xb, y = _problem(n=20, d=6, k2=3, seed=11)
         o0 = objective(f, b, xf, xb, y)
-        state = state_from_numpy(spark, f, b, xf, xb, 3)
+        state = pinned_state(spark, 3, f, b, xf, xb)
         state, y2 = psvdccd_spark(state, y, t=4)
         xf2, xb2 = collect_embeddings(state, 20, 3)
         assert objective(f, b, xf2, xb2, y2) < o0
 
     def test_zero_iterations_identity(self, spark):
         f, b, xf, xb, y = _problem(seed=12)
-        state = state_from_numpy(spark, f, b, xf, xb, 2)
+        state = pinned_state(spark, 2, f, b, xf, xb)
         state, y2 = psvdccd_spark(state, y, t=0)
         xf2, xb2 = collect_embeddings(state, f.shape[0], 3)
         assert np.allclose(xf2, xf) and np.allclose(y2, y)

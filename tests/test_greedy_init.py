@@ -1,6 +1,5 @@
 """Tests for GreedyInit (Alg. 3) / SMGreedyInit (Alg. 7) — Lemma 4.2 invariants."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.affinity import apmi_numpy
@@ -9,7 +8,8 @@ from repro.core.greedy_init import (
     random_init_numpy,
     sm_greedy_init_spark,
 )
-from repro.linalg import make_state
+from repro.linalg import state_to_numpy
+from tests.spark_states import pinned_state, sides
 
 
 def _affinities(n=30, d=10, seed=0):
@@ -82,16 +82,13 @@ class TestSMGreedyInitSpark:
         n, d = 30, 10
         f, b = _affinities()
         k2 = 4
-        fs = make_state(spark, f, nb)
-        bs = make_state(spark, b, nb)
-        state, y = sm_greedy_init_spark(fs, bs, d, k2, t=6, seed=0)
+        state, y = sm_greedy_init_spark(
+            *sides(pinned_state(spark, nb, f, b)), d, k2, t=6, seed=0
+        )
         assert np.allclose(y.T @ y, np.eye(k2), atol=1e-8)
-        pdf = state.toPandas().sort_values("node")
-        xf = np.stack(pdf["xf"].to_numpy())
-        xb = np.stack(pdf["xb"].to_numpy())
-        f_rows = np.stack(pdf["f"].to_numpy())
-        b_rows = np.stack(pdf["b"].to_numpy())
-        assert np.allclose(f_rows, f[pdf["node"].to_numpy()])
+        xf, xb = state_to_numpy(state, n, k2, "x")
+        f_rows, b_rows = state_to_numpy(state, n, d)
+        assert np.array_equal(f_rows, f) and np.array_equal(b_rows, b)
         u, s, vt = np.linalg.svd(f, full_matrices=False)
         best = np.linalg.norm(f - (u[:, :k2] * s[:k2]) @ vt[:k2])
         err = np.linalg.norm(f_rows - xf @ y.T)
@@ -107,11 +104,9 @@ class TestSMGreedyInitSpark:
         f, b = _affinities(seed=7)
         k2 = 4
         state, y = sm_greedy_init_spark(
-            make_state(spark, f, 1), make_state(spark, b, 1), d, k2, t=6, seed=0
+            *sides(pinned_state(spark, 1, f, b)), d, k2, t=6, seed=0
         )
-        pdf = state.toPandas().sort_values("node")
-        xf = np.stack(pdf["xf"].to_numpy())
-        xb = np.stack(pdf["xb"].to_numpy())
+        xf, xb = state_to_numpy(state, n, k2, "x")
         obj_sm = objective(f, b, xf, xb, y)
         xg = greedy_init_numpy(f, b, k2, t=6)
         obj_st = objective(f, b, *xg)
@@ -122,16 +117,13 @@ class TestSMGreedyInitSpark:
         f, b = _affinities(seed=8)
         f, b = f[:n, :d], b[:n, :d]
         state, y = sm_greedy_init_spark(
-            make_state(spark, f, 2), make_state(spark, b, 2), d, 3, t=4,
-            seed=1, random_init=True,
+            *sides(pinned_state(spark, 2, f, b)), d, 3, t=4, seed=1, random_init=True,
         )
-        pdf = state.toPandas()
-        xf = np.stack(pdf["xf"].to_numpy())
-        assert xf.shape == (n, 3)
+        xf, _ = state_to_numpy(state, n, 3, "x")
+        assert xf.shape == (n, 3) and np.all(np.abs(xf).sum(axis=1) > 0)
         assert y.shape == (d, 3)
         # random init must NOT reconstruct F' well
-        order = pdf["node"].to_numpy()
-        assert np.linalg.norm(f[order] - xf @ y.T) > 0.5 * np.linalg.norm(f)
+        assert np.linalg.norm(f - xf @ y.T) > 0.5 * np.linalg.norm(f)
 
     def test_more_blocks_than_wide(self, spark):
         """Blocks narrower than k2 rows still produce fixed-width output."""
@@ -140,8 +132,8 @@ class TestSMGreedyInitSpark:
         f = rng.random((n, d))
         b = rng.random((n, d))
         state, y = sm_greedy_init_spark(
-            make_state(spark, f, 4), make_state(spark, b, 4), d, 4, t=3, seed=2
+            *sides(pinned_state(spark, 4, f, b)), d, 4, t=3, seed=2
         )
-        pdf = state.toPandas()
-        assert np.stack(pdf["xf"].to_numpy()).shape == (n, 4)
+        xf, _ = state_to_numpy(state, n, 4, "x")
+        assert xf.shape == (n, 4) and np.all(np.abs(xf).sum(axis=1) > 0)
         assert y.shape == (d, 4)

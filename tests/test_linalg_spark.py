@@ -1,6 +1,7 @@
 """Tests for the linear-algebra substrate (system #1).
 
-State DataFrame conversions run on Spark. The COO kernels both
+The state layout (one row per side and node block) is round-tripped
+on Spark. The COO kernels both
 pipelines share (walk weights, presorted SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
 SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
@@ -13,13 +14,13 @@ import pytest
 from repro.linalg import (
     coo_plan,
     coo_spmm,
-    make_state,
     normalize_cols,
     normalize_rows,
     state_to_numpy,
     walk_weights,
 )
 from repro.oracle import assert_equivalent
+from tests.spark_states import pinned_state
 
 
 def _random_graph(n=30, m=120, seed=0):
@@ -41,24 +42,26 @@ def _p_dense(n, src, dst):
 class TestStateRoundtrip:
     @pytest.mark.parametrize("nb", [1, 3, 8])
     def test_roundtrip(self, spark, nb):
-        mat = np.random.default_rng(1).standard_normal((17, 5))
-        st = make_state(spark, mat, nb)
-        assert np.allclose(state_to_numpy(st, 17, 5), mat)
+        f, b = np.random.default_rng(1).standard_normal((2, 17, 5))
+        st = pinned_state(spark, nb, f, b)
+        assert np.array_equal(state_to_numpy(st, 17, 5), [f, b])
 
     def test_blocks_cover_all_nodes(self, spark):
         mat = np.ones((10, 3))
-        st = make_state(spark, mat, 4)
-        pdf = st.toPandas()
-        assert sorted(pdf["node"]) == list(range(10))
-        assert set(pdf["block"]) <= set(range(4))
-        assert (pdf["block"] == pdf["node"] % 4).all()
+        pdf = pinned_state(spark, 4, mat, mat).toPandas()
+        assert sorted(pdf["side"]) == [0] * 4 + [1] * 4
+        for side in (0, 1):
+            rows = pdf[pdf["side"] == side]
+            assert sorted(np.concatenate(rows["node"].to_list())) == list(range(10))
+        for blk, ids in zip(pdf["block"], pdf["node"]):
+            assert list(ids) == list(range(blk, 10, 4))  # sorted, node % nb == block
 
     def test_missing_nodes_become_zero_rows(self, spark):
-        mat = np.ones((4, 2))
-        st = make_state(spark, mat, 2, ids=np.array([0, 2, 5, 7]))
+        mat = np.ones((9, 2))
+        st = pinned_state(spark, 3, mat, mat).filter("block != 1")
         out = state_to_numpy(st, 9, 2)
-        assert out[0].tolist() == [1, 1] and out[1].tolist() == [0, 0]
-        assert out[7].tolist() == [1, 1] and out[8].tolist() == [0, 0]
+        assert out[0, 0].tolist() == [1, 1] and out[1, 1].tolist() == [0, 0]
+        assert out[0, 7].tolist() == [0, 0] and out[1, 8].tolist() == [1, 1]
 
 
 class TestWalkEdges:

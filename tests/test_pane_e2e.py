@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.core.affinity import apmi_numpy, num_iterations
-from repro.core.ccd import objective
+from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
+from repro.core.ccd import objective, psvdccd_spark
+from repro.core.greedy_init import sm_greedy_init_spark
 from repro.core.pane import PaneEmbedding, pane_numpy, pane_spark
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
 from repro.eval.splits import attribute_split, link_split
+from tests.spark_states import partition_blocks
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +22,22 @@ def emb_st(g):
     return pane_numpy(
         g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, k=32, seed=0
     )
+
+
+@pytest.fixture(scope="module")
+def spark_run(spark, g):
+    """``spark_run(nb, i)``: the i-th ``pane_spark`` call at ``nb``, k=32, seed 0."""
+    runs = {}
+
+    def run(nb, i=0):
+        if (nb, i) not in runs:
+            runs[nb, i] = pane_spark(
+                spark, g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
+                k=32, nb=nb, seed=0,
+            )
+        return runs[nb, i]
+
+    return run
 
 
 class TestSingleThread:
@@ -92,11 +110,8 @@ class TestSingleThread:
 
 class TestParallelVsSingle:
     @pytest.fixture(scope="class")
-    def emb_par(self, spark, g):
-        return pane_spark(
-            spark, g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-            k=32, nb=4, seed=0,
-        )
+    def emb_par(self, spark_run):
+        return spark_run(4)
 
     def test_shapes(self, g, emb_par):
         assert emb_par.xf.shape == (g.n, 16) and emb_par.y.shape == (g.d, 16)
@@ -126,6 +141,41 @@ class TestParallelVsSingle:
             s.test_label, emb_par.attr_scores(s.test_node, s.test_attr)
         )
         assert abs(auc_st - auc_par) < 0.1
+
+
+class TestSparkAgreesAcrossRuns:
+    @pytest.mark.parametrize("nb", [1, 4])
+    def test_eq4_objective_parity(self, g, emb_st, spark_run, nb):
+        """Eq. (4) of pane_spark is within 2% of pane_numpy's, at nb=1 too."""
+        t = num_iterations(0.015, 0.5)
+        f, b = apmi_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, 0.5, t)
+        e = spark_run(nb)
+        o_par = objective(f, b, e.xf, e.xb, e.y)
+        o_st = objective(f, b, emb_st.xf, emb_st.xb, emb_st.y)
+        assert abs(o_par / o_st - 1) <= 0.02
+
+    @pytest.mark.parametrize("nb", [1, 4])
+    def test_deterministic(self, spark_run, nb):
+        """The same (seed, nb) gives bit-identical embeddings."""
+        e1, e2 = spark_run(nb, 0), spark_run(nb, 1)
+        assert np.array_equal(e1.xf, e2.xf)
+        assert np.array_equal(e1.xb, e2.xb)
+        assert np.array_equal(e1.y, e2.y)
+
+
+class TestBlockPlacement:
+    @pytest.mark.parametrize("nb", [3, 4])
+    def test_one_node_block_per_partition(self, spark, g, nb):
+        """From PAPMI to the last CCD pass, a partition holds one node block."""
+        t = num_iterations(0.015, 0.5)
+        inp = (g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight)
+        f_state, b_state = papmi_from_states(spark, *inp, 0.5, t, nb)
+        state, y = sm_greedy_init_spark(f_state, b_state, g.d, 4, t, seed=0)
+        ccd_state, _ = psvdccd_spark(state, y, 2)
+        for st in (f_state, b_state, state, ccd_state):
+            parts = partition_blocks(st)
+            assert all(len(blks) == 1 for blks in parts)
+            assert set().union(*parts) == set(range(nb))
 
 
 class TestBetterThanRandomEmbeddings:
@@ -207,11 +257,19 @@ class TestInputValidation:
             dict(k=3),
             dict(k=0),
             dict(nb=0),
+            dict(weight=np.array([1.0, np.inf, 1.0])),
+            dict(weight=np.array([1.0, np.nan, 1.0])),
+            dict(alpha=0.0),
+            dict(alpha=1.0),
+            dict(eps=0.0),
+            dict(eps=1.5),
         ],
         ids=[
             "src-out-of-range", "dst-negative", "node-out-of-range",
             "attr-out-of-range", "edge-lengths", "assoc-lengths",
             "zero-weight", "negative-weight", "odd-k", "k-below-2", "nb-below-1",
+            "inf-weight", "nan-weight", "alpha-zero", "alpha-one", "eps-zero",
+            "eps-above-1",
         ],
     )
     def test_bad_input_raises(self, spark, change):

@@ -2,16 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.affinity import (
-    affinities_spark_to_numpy,
-    apmi_numpy,
-    normalize_attrs,
-    papmi_from_states,
-    papmi_spark,
-)
-from repro.core.pane import attr_states
-from repro.linalg.matrix import attrs_df, edges_df
-from repro.linalg import state_to_numpy
+from repro.core.affinity import affinities_spark_to_numpy, apmi_numpy, papmi_from_states
 
 
 def _instance(n=24, d=7, deg=3, seed=0):
@@ -37,10 +28,7 @@ class TestLemma41:
         src, dst, node, attr, w = _instance(n, d)
         alpha, t = 0.5, 5
         f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, alpha, t)
-        rr, rc = normalize_attrs(n, d, node, attr, w)
-        fs, bs = papmi_spark(
-            spark, edges_df(spark, src, dst), n, d, rr, rc, alpha, t, nb
-        )
+        fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, alpha, t, nb)
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
@@ -50,10 +38,7 @@ class TestLemma41:
         n, d = 18, 5
         src, dst, node, attr, w = _instance(n, d, seed=2)
         f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, alpha, t)
-        rr, rc = normalize_attrs(n, d, node, attr, w)
-        fs, bs = papmi_spark(
-            spark, edges_df(spark, src, dst), n, d, rr, rc, alpha, t, 4
-        )
+        fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, alpha, t, 4)
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
@@ -67,34 +52,24 @@ class TestLemma41:
         w = np.ones(3)
         n, d = 4, 2
         f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, 0.5, 6)
-        rr, rc = normalize_attrs(n, d, node, attr, w)
-        fs, bs = papmi_spark(spark, edges_df(spark, src, dst), n, d, rr, rc, 0.5, 6, 2)
+        fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, 0.5, 6, 2)
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
 
-
-class TestAttrStates:
-    """The distributed R_r/R_c builder matches the NumPy normalization."""
-
-    @pytest.mark.parametrize("nb", [1, 4])
-    def test_matches_numpy(self, spark, nb):
-        n, d = 20, 6
-        _, _, node, attr, w = _instance(n, d, seed=5)
-        rr_ref, rc_ref = normalize_attrs(n, d, node, attr, w)
-        rr_s, rc_s = attr_states(spark, attrs_df(spark, node, attr, w), d, nb)
-        assert np.abs(state_to_numpy(rr_s, n, d) - rr_ref).max() < 1e-12
-        assert np.abs(state_to_numpy(rc_s, n, d) - rc_ref).max() < 1e-12
-
-    def test_duplicate_entries_accumulate(self, spark):
+    def test_duplicate_pairs_accumulate(self, spark):
+        """A repeated (node, attr) pair adds its weights, as APMI's dense R does."""
+        src = np.array([0, 1], dtype=np.int64)
+        dst = np.array([1, 0], dtype=np.int64)
         node = np.array([0, 0, 1], dtype=np.int64)
         attr = np.array([1, 1, 0], dtype=np.int64)
         w = np.array([1.0, 3.0, 2.0])
-        rr_s, rc_s = attr_states(spark, attrs_df(spark, node, attr, w), 2, 2)
-        rr = state_to_numpy(rr_s, 2, 2)
-        assert rr[0, 1] == pytest.approx(1.0)  # 4/4 after merge
-        rc = state_to_numpy(rc_s, 2, 2)
-        assert rc[0, 1] == pytest.approx(1.0)
+        n, d = 2, 2
+        f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, 0.5, 6)
+        fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, 0.5, 6, 2)
+        f, b = affinities_spark_to_numpy(fs, bs, n, d)
+        assert np.abs(f - f_ref).max() < 1e-9
+        assert np.abs(b - b_ref).max() < 1e-9
 
 
 def _degenerate_instance(n, d, attr_hi, seed):
@@ -132,20 +107,24 @@ class TestDegenerateInputs:
             (9, 1, 3, 1),  # d = 1
         ],
     )
+    # ``entry`` is the form R reaches PAPMI in: "dense" is one entry per
+    # nonzero of the dense R; "attr_states" is the raw association list with
+    # its duplicate pairs, as pane_spark passes it (it used to be densified
+    # by a separate attr_states stage first).
     @pytest.mark.parametrize("entry", ["dense", "attr_states"])
     def test_papmi_equals_apmi(self, spark, n, d, nb, attr_hi, entry):
         src, dst, node, attr, w = _degenerate_instance(n, d, attr_hi, seed=n + d + nb)
         alpha, t = 0.5, 4
         f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, alpha, t)
-        edges = edges_df(spark, src, dst)
         if entry == "dense":
-            rr, rc = normalize_attrs(n, d, node, attr, w)
-            fs, bs = papmi_spark(spark, edges, n, d, rr, rc, alpha, t, nb)
-        else:
-            rr_s, rc_s = attr_states(spark, attrs_df(spark, node, attr, w), d, nb)
-            fs, bs = papmi_from_states(edges, rr_s, rc_s, n, d, alpha, t, nb)
+            r = np.zeros((n, d))
+            np.add.at(r, (node, attr), w)
+            node, attr = np.nonzero(r)
+            w = r[node, attr]
+        fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, alpha, t, nb)
         for state in (fs, bs):
-            assert sorted(state.select("node").toPandas()["node"]) == list(range(n))
+            ids = np.concatenate(state.select("node").toPandas()["node"].to_list())
+            assert sorted(ids) == list(range(n))
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
@@ -157,14 +136,12 @@ class TestJobCount:
         sc = spark.sparkContext
         n, d = 24, 7
         src, dst, node, attr, w = _instance(n, d)
-        rr, rc = normalize_attrs(n, d, node, attr, w)
-        edges = edges_df(spark, src, dst)
         jobs = {}
         for t in (2, 8):
             group = f"papmi-job-count-t{t}"
             sc.setJobGroup(group, group)
             try:
-                papmi_spark(spark, edges, n, d, rr, rc, 0.5, t, 3)
+                papmi_from_states(spark, n, d, src, dst, node, attr, w, 0.5, t, 3)
             finally:
                 sc.setLocalProperty("spark.jobGroup.id", None)
             jobs[t] = len(sc.statusTracker().getJobIdsForGroup(group))
