@@ -124,8 +124,9 @@ def papmi_from_states(
     runs all ``t`` iterations and finishes ``F'`` (column normalization is
     local to a column). One transpose, range-partitioned on the node
     block, then lands each node block in its own partition, where ``Pb``
-    is row-normalized into ``B'``. The two states are the sides of one
-    materialized state DataFrame and cover every node ``0..n-1``.
+    is row-normalized into ``B'``. The result is one materialized state,
+    a row per node block holding both ``F'`` and ``B'``, covering every
+    node ``0..n-1``.
     """
     w_r = weight / np.bincount(node, weight, minlength=n)[node]
     w_c = weight / np.bincount(attr, weight, minlength=d)[attr]
@@ -184,7 +185,8 @@ def papmi_from_states(
         .localCheckpoint(eager=True)
     )
     shared.unpersist()
-    return state.filter("side = 0"), state.filter("side = 1")
+    # One state, returned twice: panebench/run.py unpacks the pair into affinities_spark_to_numpy.
+    return state, state
 
 
 def affinities_spark_to_numpy(

@@ -14,7 +14,7 @@ asserted in tests (``naive_svdccd_numpy``).
 The distributed Y-phase uses the moment identity from DESIGN.md:
 ``N := Xf^T Sf + Xb^T Sb = (Gf+Gb)·Y^T − (Xf^T F' + Xb^T B')`` — the
 four moments are tiny ((k/2)² and (k/2)×d) and computed by partial
-sums over the state's (side, node block) rows, after which the driver
+sums over the state's node-block rows (``moments``), after which the driver
 replays the exact cyclic update including the paper's dynamic
 maintenance (Equation 20) as ``N[:,rj] −= µy·G[:,l]``.
 """
@@ -37,34 +37,42 @@ def objective(
     )
 
 
-def x_sweep(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One CCD sweep over the node rows of one side: ``Xf`` against ``F'``,
-    or ``Xb`` against ``B'`` (Alg. 4 Lines 3-9), vectorized.
-
-    The residual rows are formed fresh (``S = X·Y^T − M``), which equals
-    the paper's dynamically-maintained residuals exactly, then maintained
-    across the ``l`` loop per Equations (18)-(19). Pure function: inputs
-    are not mutated.
-    """
-    x = x.copy()
-    s = x @ y.T - m
-    for l in range(y.shape[1]):
-        yl = y[:, l]
-        denom = yl @ yl
-        if denom < _TINY:
-            continue
-        mu = (s @ yl) / denom
-        x[:, l] -= mu
-        s -= np.outer(mu, yl)
-    return x
-
-
 def x_phase(
     f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The X-phase of both sides: ``Xf`` is updated from ``F'`` alone and
-    ``Xb`` from ``B'`` alone, so PSVDCCD sweeps each side's rows apart."""
-    return x_sweep(f, xf, y), x_sweep(b, xb, y)
+    """One CCD sweep over the node rows: ``Xf`` against ``F'`` and ``Xb``
+    against ``B'`` (Alg. 4 Lines 3-9), vectorized.
+
+    Neither side nor any row interacts with another, so any set of node
+    rows is swept on its own. The residual rows are formed fresh
+    (``S = X·Y^T − M``), which equals the paper's dynamically-maintained
+    residuals exactly, then maintained across the ``l`` loop per
+    Equations (18)-(19). Pure function: inputs are not mutated.
+    """
+    out = []
+    for m, x in ((f, xf), (b, xb)):
+        x = x.copy()
+        s = x @ y.T - m
+        for l in range(y.shape[1]):
+            yl = y[:, l]
+            denom = yl @ yl
+            if denom < _TINY:
+                continue
+            mu = (s @ yl) / denom
+            x[:, l] -= mu
+            s -= np.outer(mu, yl)
+        out.append(x)
+    return out[0], out[1]
+
+
+def moments(
+    f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Y-phase moments ``G = Xfᵀ·Xf + Xbᵀ·Xb`` and ``C = Xfᵀ·F' + Xbᵀ·B'``.
+
+    Both are sums over node rows, so PSVDCCD sums them over node blocks.
+    """
+    return xf.T @ xf + xb.T @ xb, xf.T @ f + xb.T @ b
 
 
 def y_phase_from_moments(
@@ -99,9 +107,7 @@ def svdccd_numpy(
     """Algorithm 4's refinement loop (single-thread reference)."""
     for _ in range(t):
         xf, xb = x_phase(f, b, xf, xb, y)
-        g = xf.T @ xf + xb.T @ xb
-        c = xf.T @ f + xb.T @ b
-        y = y_phase_from_moments(y, g, c)
+        y = y_phase_from_moments(y, *moments(f, b, xf, xb))
     return xf, xb, y
 
 
@@ -153,9 +159,10 @@ def psvdccd_spark(
     """Algorithm 8's refinement loop on the CCD state DataFrame.
 
     Each iteration is one narrow pass with ``Y`` shipped in the task
-    closure: every row sweeps its side's ``x`` (Alg. 8 Lines 3-10) and
-    emits its partial moments ``(xᵀx, xᵀm)``. The driver sums them into
-    ``(G, C)`` in block order and replays the exact Y-phase (Lines 11-16).
+    closure: every node block runs the body of ``svdccd_numpy`` on its
+    rows — ``x_phase`` (Alg. 8 Lines 3-10), then its partial ``moments``.
+    The driver sums them into ``(G, C)`` in block order and replays the
+    exact Y-phase (Lines 11-16).
     """
     d, k2 = y.shape
     for _ in range(t):
@@ -164,19 +171,19 @@ def psvdccd_spark(
         def ccd_pass(batches):
             for pdf in batches:
                 ms = rows_of(pdf, "m")
-                xs = [x_sweep(m, x, y_cur) for m, x in zip(ms, rows_of(pdf, "x"))]
+                xs = [np.stack(x_phase(*m, *x, y_cur)) for m, x in zip(ms, rows_of(pdf, "x"))]
                 yield pdf.assign(
                     x=[x.ravel() for x in xs],
                     out=[
-                        np.concatenate([(x.T @ x).ravel(), (x.T @ m).ravel()])
+                        np.concatenate([a.ravel() for a in moments(*m, *x)])
                         for m, x in zip(ms, xs)
                     ],
                 )
 
         # The lazy checkpoint is filled by the collect's job: one job per pass.
         stage = state.mapInPandas(ccd_pass, STAGE_SCHEMA).localCheckpoint(eager=False)
-        parts = sorted(stage.select("block", "side", "out").collect())
-        gc = np.sum([np.asarray(out) for _, _, out in parts], axis=0)
+        parts = sorted(stage.select("block", "out").collect())
+        gc = np.sum([np.asarray(out) for _, out in parts], axis=0)
         g, c = gc[: k2 * k2].reshape(k2, k2), gc[k2 * k2 :].reshape(k2, d)
         y = y_phase_from_moments(y, g, c)
         state = stage.drop("out")

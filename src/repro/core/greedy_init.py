@@ -40,8 +40,7 @@ def random_init_numpy(
 
 
 def sm_greedy_init_spark(
-    f_state: DataFrame,
-    b_state: DataFrame,
+    state: DataFrame,
     d: int,
     k2: int,
     t: int,
@@ -50,25 +49,24 @@ def sm_greedy_init_spark(
 ) -> tuple[DataFrame, np.ndarray]:
     """Algorithm 7 (SMGreedyInit): returns the CCD state and ``Y``.
 
-    The returned state holds both sides of every node block, with ``x``
-    set to ``Xf`` (side 0) or ``Xb`` (side 1); ``Y`` lives on the driver
-    (it is d×k/2 and is shipped into every CCD pass). Both stages are
-    narrow maps over the blocks' rows. With ``random_init=True`` the SVD
-    seeding is replaced by Gaussian noise and the split-merge RandSVD is
-    skipped — the PANE-R ablation of Section 5.7, sharing all other
-    machinery.
+    The returned state is PAPMI's, with each block's ``x`` set to
+    ``[Xfᵢ; Xbᵢ]``; ``Y`` lives on the driver (it is d×k/2 and is shipped
+    into every CCD pass). Both stages are narrow maps over the blocks'
+    rows. With ``random_init=True`` the SVD seeding is replaced by
+    Gaussian noise and the split-merge RandSVD is skipped — the PANE-R
+    ablation of Section 5.7, sharing all other machinery.
     """
     if random_init:
         y = np.random.default_rng(seed + 2003).standard_normal((d, k2)) / np.sqrt(k2)
     else:
-        # -- Split phase: one RandSVD per node block (Alg. 7 Lines 1-3). The
-        # block's U_i = ΦΣ stays in its F' row; only V_i goes to the driver,
-        # since the merge input [V1 … Vnb]^T is small by construction.
+        # -- Split phase: one RandSVD of F'ᵢ per node block (Alg. 7 Lines 1-3).
+        # The block's U_i = ΦΣ stays in its row's x; only V_i goes to the
+        # driver, since the merge input [V1 … Vnb]^T is small by construction.
         def split(batches):
             for pdf in batches:
                 svds = [
-                    rand_svd(fi, k2, t, seed=seed + 17 * int(blk))
-                    for blk, fi in zip(pdf["block"], rows_of(pdf, "m"))
+                    rand_svd(m[0], k2, t, seed=seed + 17 * int(blk))
+                    for blk, m in zip(pdf["block"], rows_of(pdf, "m"))
                 ]
                 yield pdf.assign(
                     x=[(u @ s).ravel() for u, s, _ in svds],
@@ -76,36 +74,28 @@ def sm_greedy_init_spark(
                 )
 
         # The lazy checkpoint is filled by the collect's job: the split runs once.
-        f_state = f_state.mapInPandas(split, STAGE_SCHEMA).localCheckpoint(eager=False)
-        v_rows = sorted(f_state.select("block", "out").collect())
+        state = state.mapInPandas(split, STAGE_SCHEMA).localCheckpoint(eager=False)
+        v_rows = sorted(state.select("block", "out").collect())
 
         # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
         v_stack = np.vstack([np.reshape(out, (k2, d)) for _, out in v_rows])
         phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
         # Block i's W_i is its k2 rows of ΦΣ.
         w = dict(zip([blk for blk, _ in v_rows], np.split(phi @ sig, len(v_rows))))
-        f_state = f_state.drop("out")
+        state = state.drop("out")
 
     # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
     def assemble(batches):
         for pdf in batches:
             xs = []
-            for side, blk, m, x in zip(
-                pdf["side"], pdf["block"], rows_of(pdf, "m"), rows_of(pdf, "x")
-            ):
+            for blk, m, us in zip(pdf["block"], rows_of(pdf, "m"), pdf["x"]):
                 if random_init:  # one stream per block: its Xf rows, then its Xb rows
                     rng = np.random.default_rng(seed + 31 * int(blk))
-                    x = rng.standard_normal((2, len(m), k2))[side] * (1.0 / np.sqrt(k2))
-                elif side == 0:
-                    x = x @ w[blk]
+                    x = rng.standard_normal((2, m.shape[1], k2)) * (1.0 / np.sqrt(k2))
                 else:
-                    x = m @ y
+                    x = np.stack([np.reshape(us, (-1, k2)) @ w[blk], m[1] @ y])
                 xs.append(x.ravel())
             yield pdf.assign(x=xs)
 
-    state = (
-        f_state.unionByName(b_state)
-        .mapInPandas(assemble, STATE_SCHEMA)
-        .localCheckpoint(eager=True)
-    )
+    state = state.mapInPandas(assemble, STATE_SCHEMA).localCheckpoint(eager=True)
     return state, y

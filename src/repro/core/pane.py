@@ -80,6 +80,9 @@ def check_inputs(
             f"node, attr and weight lengths differ: {len(node)}, {len(attr)}, {len(weight)}"
         )
     for name, ids, hi in (("src", src, n), ("dst", dst, n), ("node", node, n), ("attr", attr, d)):
+        ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"{name} ids must be integers, got dtype {ids.dtype}")
         if len(ids) and (np.min(ids) < 0 or np.max(ids) >= hi):
             raise ValueError(f"{name} ids must lie in [0, {hi})")
     weight = np.asarray(weight)
@@ -140,20 +143,16 @@ def pane_spark(
 
     Inputs arrive as COO arrays (the datasets module's native format) and
     go straight to PAPMI, which ships them to its tasks. From PAPMI on,
-    each node block is one pair of state rows in one partition, and every
-    stage is a narrow map over those rows. The final embeddings are
+    each node block is one state row in one partition, and every stage is
+    a narrow map over those rows. The final embeddings are
     collected to NumPy (n×k/2 each — the same driver-resident output the
     paper writes to disk).
     """
     check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps, nb)
     t = num_iterations(eps, alpha)
     k2 = k // 2
-    f_state, b_state = papmi_from_states(
-        spark, n, d, src, dst, node, attr, weight, alpha, t, nb
-    )
-    state, y = sm_greedy_init_spark(
-        f_state, b_state, d, k2, t, seed, random_init=not greedy
-    )
+    state, _ = papmi_from_states(spark, n, d, src, dst, node, attr, weight, alpha, t, nb)
+    state, y = sm_greedy_init_spark(state, d, k2, t, seed, random_init=not greedy)
     state, y = psvdccd_spark(state, y, t)
     xf, xb = collect_embeddings(state, n, k2)
     return PaneEmbedding(xf, xb, y)

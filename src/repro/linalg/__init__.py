@@ -6,8 +6,8 @@
   kernels both pipelines share).
 * **Dense node-indexed matrices** (the affinities ``F'/B'`` and the
   embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):
-  one row per (side, node block) holding the block's flattened rows, so
-  each of the paper's ``nb`` threads maps to one row pair and one task.
+  one row per node block holding both sides of the block's flattened
+  rows, so each of the paper's ``nb`` threads maps to one row and one task.
 * ``randsvd``: the randomized SVD of GreedyInit/SMGreedyInit.
 """
 from repro.linalg.coo import (  # noqa: F401

@@ -2,13 +2,14 @@
 
 Node block ``i`` of ``nb`` holds the nodes ``i, i+nb, i+2nb, …`` in
 increasing order — the paper's equal split of V into ``nb`` subsets
-(Algorithm 5, Line 1). A *state* DataFrame has one row per (side, node
-block): side 0 is forward (``F'``, ``Xf``), side 1 backward (``B'``,
-``Xb``). The row holds the block's node ids and its affinity rows ``m``
-and embedding rows ``x`` as flattened row-major matrices (``x`` is empty
-until SMGreedyInit fills it). PAPMI's transpose leaves each node block
-in its own partition, and every later stage is a narrow map, so no row
-moves between tasks from there to the final collect.
+(Algorithm 5, Line 1). A *state* DataFrame has one row per node block,
+and the row holds both sides of it, as the paper's thread ``i`` owns
+both ``Xf[Vᵢ]`` and ``Xb[Vᵢ]``: the block's node ids, its affinity rows
+``m = [F'ᵢ; B'ᵢ]`` and its embedding rows ``x = [Xfᵢ; Xbᵢ]``, each a
+flattened row-major ``(2, |Vᵢ|, width)`` array (``x`` is empty until
+SMGreedyInit fills it). PAPMI's transpose leaves each node block in its
+own partition, and every later stage is a narrow map, so no row moves
+between tasks from there to the final collect.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-STATE_SCHEMA = "side int, block int, node array<long>, m array<double>, x array<double>"
+STATE_SCHEMA = "block int, node array<long>, m array<double>, x array<double>"
 # A stage that also hands the driver a small per-row result — a block's
 # Vᵢ in SMGreedyInit, its partial moments (G, C) in PSVDCCD — emits it in
 # one more column; the driver collects that column alone.
@@ -36,31 +37,30 @@ def block_state(
     xf: np.ndarray | None = None,
     xb: np.ndarray | None = None,
 ) -> pd.DataFrame:
-    """The two state rows of node block ``blk``: ``(F', Xf)`` and ``(B', Xb)``."""
-    empty = np.empty(0)
+    """The state row of node block ``blk``: ``m = [F'; B']``, ``x = [Xf; Xb]``."""
+    x = np.empty(0) if xf is None else np.stack([xf, xb])
     return pd.DataFrame(
         {
-            "side": np.int32([0, 1]),
-            "block": np.int32(blk),
-            "node": [ids, ids],
-            "m": [f.ravel(), b.ravel()],
-            "x": [empty if xf is None else xf.ravel(), empty if xb is None else xb.ravel()],
+            "block": np.int32([blk]),
+            "node": [ids],
+            "m": [np.stack([f, b]).ravel()],
+            "x": [x.ravel()],
         }
     )
 
 
 def rows_of(pdf: pd.DataFrame, col: str) -> list[np.ndarray]:
-    """The matrices of column ``col`` in a batch of state rows, one per row."""
-    return [np.reshape(v, (len(ids), -1)) for ids, v in zip(pdf["node"], pdf[col])]
+    """The ``(2, |Vᵢ|, width)`` arrays of column ``col`` in a batch of state rows."""
+    return [np.reshape(v, (2, len(ids), -1)) for ids, v in zip(pdf["node"], pdf[col])]
 
 
 def state_to_numpy(state: DataFrame, n: int, width: int, col: str = "m") -> np.ndarray:
     """Collect column ``col`` of a state into a dense ``(2, n, width)`` array, by side.
 
-    Nodes absent from a side's rows are zero rows there.
+    Nodes absent from the state's rows are zero rows.
     """
-    pdf = state.select("side", "node", col).toPandas()
+    pdf = state.select("node", col).toPandas()
     out = np.zeros((2, n, width))
-    for side, ids, mat in zip(pdf["side"], pdf["node"], rows_of(pdf, col)):
-        out[side, ids] = mat
+    for ids, mat in zip(pdf["node"], rows_of(pdf, col)):
+        out[:, ids] = mat
     return out

@@ -21,11 +21,6 @@ def pinned_state(spark, nb, f, b, xf=None, xb=None):
     )
 
 
-def sides(state):
-    """``(f_state, b_state)``: the forward and the backward rows of a state."""
-    return state.filter("side = 0"), state.filter("side = 1")
-
-
 def partition_blocks(state) -> list[set]:
     """The node blocks in each non-empty partition (``spark_partition_id``) of ``state``."""
     rows = state.select(F.spark_partition_id().alias("p"), "block").distinct().collect()

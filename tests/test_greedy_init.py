@@ -9,7 +9,7 @@ from repro.core.greedy_init import (
     sm_greedy_init_spark,
 )
 from repro.linalg import state_to_numpy
-from tests.spark_states import pinned_state, sides
+from tests.spark_states import pinned_state
 
 
 def _affinities(n=30, d=10, seed=0):
@@ -83,7 +83,7 @@ class TestSMGreedyInitSpark:
         f, b = _affinities()
         k2 = 4
         state, y = sm_greedy_init_spark(
-            *sides(pinned_state(spark, nb, f, b)), d, k2, t=6, seed=0
+            pinned_state(spark, nb, f, b), d, k2, t=6, seed=0
         )
         assert np.allclose(y.T @ y, np.eye(k2), atol=1e-8)
         xf, xb = state_to_numpy(state, n, k2, "x")
@@ -104,7 +104,7 @@ class TestSMGreedyInitSpark:
         f, b = _affinities(seed=7)
         k2 = 4
         state, y = sm_greedy_init_spark(
-            *sides(pinned_state(spark, 1, f, b)), d, k2, t=6, seed=0
+            pinned_state(spark, 1, f, b), d, k2, t=6, seed=0
         )
         xf, xb = state_to_numpy(state, n, k2, "x")
         obj_sm = objective(f, b, xf, xb, y)
@@ -117,7 +117,7 @@ class TestSMGreedyInitSpark:
         f, b = _affinities(seed=8)
         f, b = f[:n, :d], b[:n, :d]
         state, y = sm_greedy_init_spark(
-            *sides(pinned_state(spark, 2, f, b)), d, 3, t=4, seed=1, random_init=True,
+            pinned_state(spark, 2, f, b), d, 3, t=4, seed=1, random_init=True,
         )
         xf, _ = state_to_numpy(state, n, 3, "x")
         assert xf.shape == (n, 3) and np.all(np.abs(xf).sum(axis=1) > 0)
@@ -132,7 +132,7 @@ class TestSMGreedyInitSpark:
         f = rng.random((n, d))
         b = rng.random((n, d))
         state, y = sm_greedy_init_spark(
-            *sides(pinned_state(spark, 4, f, b)), d, 4, t=3, seed=2
+            pinned_state(spark, 4, f, b), d, 4, t=3, seed=2
         )
         xf, _ = state_to_numpy(state, n, 4, "x")
         assert xf.shape == (n, 4) and np.all(np.abs(xf).sum(axis=1) > 0)

@@ -1,6 +1,6 @@
 """Tests for the linear-algebra substrate (system #1).
 
-The state layout (one row per side and node block) is round-tripped
+The state layout (one row per node block) is round-tripped
 on Spark. The COO kernels both
 pipelines share (walk weights, presorted SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
@@ -49,10 +49,8 @@ class TestStateRoundtrip:
     def test_blocks_cover_all_nodes(self, spark):
         mat = np.ones((10, 3))
         pdf = pinned_state(spark, 4, mat, mat).toPandas()
-        assert sorted(pdf["side"]) == [0] * 4 + [1] * 4
-        for side in (0, 1):
-            rows = pdf[pdf["side"] == side]
-            assert sorted(np.concatenate(rows["node"].to_list())) == list(range(10))
+        assert sorted(pdf["block"]) == [0, 1, 2, 3]  # one row per block
+        assert sorted(np.concatenate(pdf["node"].to_list())) == list(range(10))
         for blk, ids in zip(pdf["block"], pdf["node"]):
             assert list(ids) == list(range(blk, 10, 4))  # sorted, node % nb == block
 

@@ -9,6 +9,7 @@ from repro.core.pane import PaneEmbedding, pane_numpy, pane_spark
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
 from repro.eval.splits import attribute_split, link_split
+from repro.linalg import node_blocks
 from tests.spark_states import partition_blocks
 
 
@@ -169,13 +170,15 @@ class TestBlockPlacement:
         """From PAPMI to the last CCD pass, a partition holds one node block."""
         t = num_iterations(0.015, 0.5)
         inp = (g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight)
-        f_state, b_state = papmi_from_states(spark, *inp, 0.5, t, nb)
-        state, y = sm_greedy_init_spark(f_state, b_state, g.d, 4, t, seed=0)
+        papmi_state, _ = papmi_from_states(spark, *inp, 0.5, t, nb)
+        state, y = sm_greedy_init_spark(papmi_state, g.d, 4, t, seed=0)
         ccd_state, _ = psvdccd_spark(state, y, 2)
-        for st in (f_state, b_state, state, ccd_state):
+        for st in (papmi_state, state, ccd_state):
             parts = partition_blocks(st)
             assert all(len(blks) == 1 for blks in parts)
             assert set().union(*parts) == set(range(nb))
+        for st in (state, ccd_state):  # one task per node block
+            assert st.rdd.getNumPartitions() == len(node_blocks(g.n, nb))
 
 
 class TestBetterThanRandomEmbeddings:
@@ -263,13 +266,15 @@ class TestInputValidation:
             dict(alpha=1.0),
             dict(eps=0.0),
             dict(eps=1.5),
+            dict(src=np.array([0.0, 1.0, 2.0])),
+            dict(node=np.array([0.5, 1.0, 3.0])),
         ],
         ids=[
             "src-out-of-range", "dst-negative", "node-out-of-range",
             "attr-out-of-range", "edge-lengths", "assoc-lengths",
             "zero-weight", "negative-weight", "odd-k", "k-below-2", "nb-below-1",
             "inf-weight", "nan-weight", "alpha-zero", "alpha-one", "eps-zero",
-            "eps-above-1",
+            "eps-above-1", "float-src", "fractional-node",
         ],
     )
     def test_bad_input_raises(self, spark, change):
