@@ -6,17 +6,24 @@ l``) in the Y-phase. Rows do not interact within the X-phase (each
 update touches only ``Xf[vi,·]`` and the residual row ``Sf[vi]``) and
 columns do not interact within the Y-phase (``Y[rj,·]`` touches only
 ``Sf[:,rj]``), so interchanging the loops to coordinate-major
-(``for l: all vi at once``) performs the *identical* update sequence
-per row/column while vectorizing over the independent index. The
-bit-level equivalence with the literal Algorithm-4 loop nest is
-asserted in tests (``naive_svdccd_numpy``).
+(``for l: all vi at once``) performs the same update sequence per
+row/column while vectorizing over the independent index. Tests assert
+agreement with the literal Algorithm-4 loop nest (``naive_svdccd_numpy``)
+to ``atol=1e-9``: the sums are associated differently, so the results
+agree up to rounding, not bit for bit.
 
-The distributed Y-phase uses the moment identity from DESIGN.md:
-``N := Xf^T Sf + Xb^T Sb = (Gf+Gb)·Y^T − (Xf^T F' + Xb^T B')`` — the
-four moments are tiny ((k/2)² and (k/2)×d) and computed by partial
-sums over the state's node-block rows (``moments``), after which the driver
-replays the exact cyclic update including the paper's dynamic
-maintenance (Equation 20) as ``N[:,rj] −= µy·G[:,l]``.
+Neither phase forms the n×d residual ``S = X·Yᵀ − M``. Each reads the
+residual's products through a moment identity (DESIGN.md, "CCD
+reformulation"), the CCD++ trick of Yu et al. (ICDM 2012):
+
+* X-phase: ``S·y_l = X·(YᵀY)[:,l] − (M·Y)[:,l]``. ``YᵀY`` is (k/2)² and
+  ``M·Y`` one n×d by d×(k/2) product per side, so a sweep costs
+  O(n·d·k + n·k²) with no n×d temporary.
+* Y-phase: ``N := Xf^T Sf + Xb^T Sb = (Gf+Gb)·Y^T − (Xf^T F' + Xb^T B')``.
+  The four moments are tiny ((k/2)² and (k/2)×d) and computed by partial
+  sums over the state's node-block rows (``moments``), after which the
+  driver replays the exact cyclic update including the paper's dynamic
+  maintenance (Equation 20) as ``N[:,rj] −= µy·G[:,l]``.
 """
 from __future__ import annotations
 
@@ -44,23 +51,24 @@ def x_phase(
     against ``B'`` (Alg. 4 Lines 3-9), vectorized.
 
     Neither side nor any row interacts with another, so any set of node
-    rows is swept on its own. The residual rows are formed fresh
-    (``S = X·Y^T − M``), which equals the paper's dynamically-maintained
-    residuals exactly, then maintained across the ``l`` loop per
-    Equations (18)-(19). Pure function: inputs are not mutated.
+    rows is swept on its own. The update of column ``l`` needs the
+    residual product ``S·y_l`` with ``S = X·Yᵀ − M`` at its current
+    value; it is read as ``X·(YᵀY)[:,l] − (M·Y)[:,l]`` from the current
+    ``X``, which equals the paper's dynamically-maintained residual
+    (Equations 18-19) without forming it. Columns of ``Y`` with zero norm
+    leave their column of ``X`` untouched. Pure function: inputs are not
+    mutated.
     """
+    gy = y.T @ y
     out = []
     for m, x in ((f, xf), (b, xb)):
         x = x.copy()
-        s = x @ y.T - m
+        my = m @ y
         for l in range(y.shape[1]):
-            yl = y[:, l]
-            denom = yl @ yl
+            denom = gy[l, l]
             if denom < _TINY:
                 continue
-            mu = (s @ yl) / denom
-            x[:, l] -= mu
-            s -= np.outer(mu, yl)
+            x[:, l] -= (x @ gy[:, l] - my[:, l]) / denom
         out.append(x)
     return out[0], out[1]
 

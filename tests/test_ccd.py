@@ -1,4 +1,6 @@
 """Tests for the CCD solver: Algorithm 4 equivalences and PSVDCCD (Alg. 8)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,43 @@ class TestLoopInterchangeEquivalence:
         r_naive = naive_svdccd_numpy(f, b, xf, xb, y, 2)
         for a, c in zip(r_fast, r_naive):
             assert np.allclose(a, c, atol=1e-9)
+
+    @pytest.mark.parametrize("n,d,k2", [(18, 3, 5), (9, 7, 8)])
+    @pytest.mark.parametrize("init", ["random", "greedy"])
+    def test_wide_rank_deficient_equals_naive(self, n, d, k2, init):
+        """k/2 > d makes YᵀY singular; from GreedyInit, Y also has k/2 − d
+        zero-padded columns, which both sweeps must skip."""
+        f, b, xf, xb, y = _problem(n=n, d=d, k2=k2, seed=13)
+        if init == "greedy":
+            xf, xb, y = greedy_init_numpy(f, b, k2, t=5)
+            assert np.sum(~y.any(axis=0)) == k2 - d
+        r_fast = svdccd_numpy(f, b, xf, xb, y, 2)
+        r_naive = naive_svdccd_numpy(f, b, xf, xb, y, 2)
+        for a, c in zip(r_fast, r_naive):
+            assert np.allclose(a, c, atol=1e-9)
+
+
+class TestGramXPhase:
+    def test_zero_column_guard(self):
+        f, b, xf, xb, y = _problem(seed=5)
+        y[:, 1] = 0.0
+        xf2, xb2 = x_phase(f, b, xf, xb, y)
+        assert np.array_equal(xf2[:, 1], xf[:, 1])  # untouched, not NaN
+        assert np.array_equal(xb2[:, 1], xb[:, 1])
+        assert np.isfinite(xf2).all() and np.isfinite(xb2).all()
+
+    def test_allocates_no_n_by_d_array(self):
+        """The sweep reads the residual through YᵀY and M·Y, so its traced
+        peak stays below one n×d float64 array."""
+        n, d, k2 = 2000, 200, 16
+        f, b, xf, xb, y = _problem(n=n, d=d, k2=k2, seed=14)
+        tracemalloc.start()
+        try:
+            x_phase(f, b, xf, xb, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 class TestMomentYPhase:
