@@ -9,31 +9,18 @@ Usage: python jobs/run_sensitivity.py [--profile bench] [--datasets cora faceboo
 """
 import argparse
 
-from repro.core.pane import pane_numpy
 from repro.datasets import load
-from repro.eval.metrics import roc_auc
-from repro.eval.splits import attribute_split, link_split
+from repro.eval.attr_inference import run_attr_inference
+from repro.eval.link_prediction import run_link_prediction
+
+PANE = "PANE (single thread)"
 
 
-def _link_auc(g, k=128, alpha=0.5, eps=0.015):
-    s = link_split(g, seed=0)
-    emb = pane_numpy(
-        g.n, g.d, s.train_src, s.train_dst, g.node, g.attr, g.weight,
-        k=k, alpha=alpha, eps=eps, seed=0,
-    )
-    sc = emb.link_scores(s.test_src, s.test_dst)
-    if not g.directed:
-        sc = sc + emb.link_scores(s.test_dst, s.test_src)
-    return roc_auc(s.test_label, sc)
-
-
-def _attr_auc(g, k=128, alpha=0.5, eps=0.015):
-    s = attribute_split(g, seed=0)
-    emb = pane_numpy(
-        g.n, g.d, g.src, g.dst, s.train_node, s.train_attr, s.train_weight,
-        k=k, alpha=alpha, eps=eps, seed=0,
-    )
-    return roc_auc(s.test_label, emb.attr_scores(s.test_node, s.test_attr))
+def _aucs(g, k=128, alpha=0.5, eps=0.015) -> str:
+    """Link-prediction / attribute-inference AUC of PANE at one setting."""
+    link = run_link_prediction(g, PANE, k=k, alpha=alpha, eps=eps).auc
+    attr = run_attr_inference(g, PANE, k=k, alpha=alpha, eps=eps).auc
+    return f"{link:.3f} / {attr:.3f}"
 
 
 def main() -> None:
@@ -45,11 +32,11 @@ def main() -> None:
         g = load(name, profile=args.profile)
         print(f"\n[{name}]  (paper Figures 5-6 sweep; AUC link / attr)")
         for k in (16, 32, 64, 128, 256):
-            print(f"  k={k:<4}          {_link_auc(g, k=k):.3f} / {_attr_auc(g, k=k):.3f}")
+            print(f"  k={k:<4}          {_aucs(g, k=k)}")
         for eps in (0.001, 0.005, 0.015, 0.05, 0.25):
-            print(f"  eps={eps:<7}     {_link_auc(g, eps=eps):.3f} / {_attr_auc(g, eps=eps):.3f}")
+            print(f"  eps={eps:<7}     {_aucs(g, eps=eps)}")
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            print(f"  alpha={alpha:<5}     {_link_auc(g, alpha=alpha):.3f} / {_attr_auc(g, alpha=alpha):.3f}")
+            print(f"  alpha={alpha:<5}     {_aucs(g, alpha=alpha)}")
 
 
 if __name__ == "__main__":

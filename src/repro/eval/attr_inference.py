@@ -9,17 +9,14 @@ co-embedding inner product; BLA-lite with its propagated mass.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.baselines.bla_lite import bla_lite
-from repro.baselines.can_lite import can_lite
-from repro.core.pane import pane_numpy, pane_spark
 from repro.datasets import AttributedGraph
+from repro.eval.methods import embed
 from repro.eval.metrics import average_precision, roc_auc
-from repro.eval.splits import AttrSplit, attribute_split
+from repro.eval.splits import attribute_split
 
 
 @dataclass
@@ -36,22 +33,6 @@ class TaskResult:
 ATTR_METHODS = ("BLA-lite", "CAN-lite", "PANE (single thread)", "PANE (parallel)")
 
 
-def _train_graph(g: AttributedGraph, split: AttrSplit) -> AttributedGraph:
-    """The graph every method actually sees: full EV, 80% of ER."""
-    return AttributedGraph(
-        name=g.name,
-        n=g.n,
-        d=g.d,
-        src=g.src,
-        dst=g.dst,
-        node=split.train_node,
-        attr=split.train_attr,
-        weight=split.train_weight,
-        labels=g.labels,
-        directed=g.directed,
-    )
-
-
 def run_attr_inference(
     g: AttributedGraph,
     method: str,
@@ -63,32 +44,16 @@ def run_attr_inference(
     seed: int = 0,
 ) -> TaskResult:
     """Score one (method, dataset) cell of Table 4."""
-    split = attribute_split(g, seed=seed)
-    tg = _train_graph(g, split)
-    t0 = time.perf_counter()
-    if method == "PANE (single thread)":
-        emb = pane_numpy(
-            tg.n, tg.d, tg.src, tg.dst, tg.node, tg.attr, tg.weight,
-            k=k, alpha=alpha, eps=eps, seed=seed,
-        )
-        scores = emb.attr_scores(split.test_node, split.test_attr)
-    elif method == "PANE (parallel)":
-        assert spark is not None, "PANE (parallel) needs a SparkSession"
-        emb = pane_spark(
-            spark, tg.n, tg.d, tg.src, tg.dst, tg.node, tg.attr, tg.weight,
-            k=k, alpha=alpha, eps=eps, nb=nb, seed=seed,
-        )
-        scores = emb.attr_scores(split.test_node, split.test_attr)
-    elif method == "CAN-lite":
-        emb = can_lite(
-            tg.n, tg.d, tg.src, tg.dst, tg.node, tg.attr, tg.weight, k=k, seed=seed
-        )
-        scores = emb.attr_scores(split.test_node, split.test_attr)
-    elif method == "BLA-lite":
-        sc = bla_lite(tg.n, tg.d, tg.src, tg.dst, tg.node, tg.attr, tg.weight)
-        scores = sc.attr_scores(split.test_node, split.test_attr)
-    else:
+    if method not in ATTR_METHODS:
         raise ValueError(f"unknown attribute-inference method {method!r}")
+    split = attribute_split(g, seed=seed)
+    # every method sees the full EV and 80% of ER
+    train = replace(
+        g, node=split.train_node, attr=split.train_attr, weight=split.train_weight
+    )
+    t0 = time.perf_counter()
+    model = embed(train, method, spark, k, alpha, eps, nb, seed)
+    scores = model.attr_scores(split.test_node, split.test_attr)
     dt = time.perf_counter() - t0
     return TaskResult(
         method=method,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.common import MethodTooExpensive
+from repro.eval.methods import embed
 from repro.eval.metrics import micro_macro_f1
 
 
@@ -92,47 +94,13 @@ def method_features(
     undirected ones their normalized single embedding. ``None`` marks a
     method that cannot run at this scale (the paper's "-" cells).
     """
-    from repro.baselines.bane import bane_lite
-    from repro.baselines.can_lite import can_lite
-    from repro.baselines.common import MethodTooExpensive
-    from repro.baselines.netmf import netmf_lite
-    from repro.baselines.nrp import nrp_lite
-    from repro.baselines.tadw import tadw_lite
-    from repro.core.pane import pane_numpy, pane_spark
-
+    if method not in CLASSIFICATION_METHODS:
+        raise ValueError(f"unknown classification method {method!r}")
     try:
-        if method == "PANE (single thread)":
-            emb = pane_numpy(
-                g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                k=k, alpha=alpha, eps=eps, seed=seed,
-            )
-        elif method == "PANE (parallel)":
-            assert spark is not None, "PANE (parallel) needs a SparkSession"
-            emb = pane_spark(
-                spark, g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                k=k, alpha=alpha, eps=eps, nb=nb, seed=seed,
-            )
-        elif method == "NRP-lite":
-            emb = nrp_lite(g.n, g.src, g.dst, k=k, seed=seed)
-        elif method == "NetMF-lite (stand-in)":
-            emb = netmf_lite(g.n, g.src, g.dst, k=k, seed=seed)
-        elif method == "TADW":
-            emb = tadw_lite(
-                g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, k=k, seed=seed
-            )
-        elif method == "BANE-lite":
-            emb = bane_lite(
-                g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, k=k, seed=seed
-            )
-        elif method == "CAN-lite":
-            emb = can_lite(
-                g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, k=k, seed=seed
-            )
-        else:
-            raise ValueError(f"unknown classification method {method!r}")
+        model = embed(g, method, spark, k, alpha, eps, nb, seed)
     except MethodTooExpensive:
         return None
-    return emb.node_features()
+    return model.node_features()
 
 
 def classification_curve(

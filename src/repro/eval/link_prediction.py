@@ -11,19 +11,15 @@ datasets, directed methods use p(u,v)+p(v,u).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.baselines.bane import bane_lite
-from repro.baselines.can_lite import can_lite
 from repro.baselines.common import MethodTooExpensive, NodeEmbedding
-from repro.baselines.netmf import netmf_lite
-from repro.baselines.nrp import nrp_lite
-from repro.baselines.tadw import tadw_lite
-from repro.core.pane import pane_numpy, pane_spark
 from repro.datasets import AttributedGraph
 from repro.eval.attr_inference import TaskResult
+from repro.eval.methods import embed
 from repro.eval.metrics import average_precision, roc_auc
 from repro.eval.splits import LinkSplit, link_split
 
@@ -68,48 +64,22 @@ def run_link_prediction(
     Returns ``None`` when the method cannot run at this scale
     (:class:`MethodTooExpensive`) — rendered as the paper's "-" cell.
     """
+    if method not in LINK_METHODS:
+        raise ValueError(f"unknown link-prediction method {method!r}")
     split = link_split(g, seed=seed)
-    ts, td = split.train_src, split.train_dst
     t0 = time.perf_counter()
     try:
-        if method == "PANE (single thread)":
-            emb = pane_numpy(
-                g.n, g.d, ts, td, g.node, g.attr, g.weight,
-                k=k, alpha=alpha, eps=eps, seed=seed,
-            )
-            scores = _directed_scores(emb, split, g.directed)
-        elif method == "PANE (parallel)":
-            assert spark is not None, "PANE (parallel) needs a SparkSession"
-            emb = pane_spark(
-                spark, g.n, g.d, ts, td, g.node, g.attr, g.weight,
-                k=k, alpha=alpha, eps=eps, nb=nb, seed=seed,
-            )
-            scores = _directed_scores(emb, split, g.directed)
-        elif method == "NRP-lite":
-            emb = nrp_lite(g.n, ts, td, k=k, seed=seed)
-            scores = _directed_scores(emb, split, g.directed)
-        elif method == "NetMF-lite (stand-in)":
-            emb = netmf_lite(g.n, ts, td, k=k, seed=seed)
-            scores = _best_undirected_scores(emb, split, split.test_label)
-        elif method == "TADW":
-            emb = tadw_lite(
-                g.n, g.d, ts, td, g.node, g.attr, g.weight, k=k, seed=seed
-            )
-            scores = _best_undirected_scores(emb, split, split.test_label)
-        elif method == "BANE-lite":
-            emb = bane_lite(
-                g.n, g.d, ts, td, g.node, g.attr, g.weight, k=k, seed=seed
-            )
-            scores = _best_undirected_scores(emb, split, split.test_label)
-        elif method == "CAN-lite":
-            emb = can_lite(
-                g.n, g.d, ts, td, g.node, g.attr, g.weight, k=k, seed=seed
-            )
-            scores = _best_undirected_scores(emb, split, split.test_label)
-        else:
-            raise ValueError(f"unknown link-prediction method {method!r}")
+        model = embed(
+            replace(g, src=split.train_src, dst=split.train_dst),
+            method, spark, k, alpha, eps, nb, seed,
+        )
     except MethodTooExpensive:
         return None
+    # undirected embeddings offer a cosine scorer; PANE and NRP do not
+    if hasattr(model, "link_scores_cosine"):
+        scores = _best_undirected_scores(model, split, split.test_label)
+    else:
+        scores = _directed_scores(model, split, g.directed)
     dt = time.perf_counter() - t0
     return TaskResult(
         method=method,

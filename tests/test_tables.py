@@ -1,8 +1,9 @@
-"""Tests for the table builders/formatters behind ``benchmarks/results/``."""
+"""Tests for the table builders/formatters behind ``benchmarks/results/``,
+which the ``jobs/run_*.py`` entry points print."""
 import numpy as np
 import pytest
 
-from repro.datasets import ALL_DATASETS
+from repro.datasets import ALL_DATASETS, load
 from repro.eval.tables import (
     PAPER_TABLE4,
     PAPER_TABLE5,
@@ -96,6 +97,25 @@ class TestBuilders:
         assert len(rows) == 2
         assert rows[0]["speedup"] == pytest.approx(1.0)
         assert all(r["seconds"] > 0 for r in rows)
+
+    def test_scalability_warms_up_before_timing(self, monkeypatch):
+        """One untimed run at nbs[0] precedes the timed sweep, on the first
+        dataset only, so the nb=1 baseline does not pay the warm-up."""
+        import repro.core.pane as pane_mod
+
+        calls = []
+        monkeypatch.setattr(
+            pane_mod, "pane_spark",
+            lambda spark, n, *args, nb, **kw: calls.append((n, nb)),
+        )
+        rows = scalability_rows(
+            None, profile="test", datasets=("cora", "facebook"),
+            nbs=(1, 2, 4), k=16,
+        )
+        cora, fb = (load(name, profile="test").n for name in ("cora", "facebook"))
+        assert cora != fb and len(rows) == 6
+        assert calls == [(cora, 1), (cora, 1), (cora, 2), (cora, 4),
+                         (fb, 1), (fb, 2), (fb, 4)]
 
     def test_greedyinit_rows(self):
         rows = greedyinit_rows(

@@ -11,6 +11,18 @@ from repro.eval.classification import (
 from repro.eval.link_prediction import LINK_METHODS, run_link_prediction
 
 
+def _cap_tadw(monkeypatch):
+    """Make the dispatcher's TADW refuse every graph (cap of one node)."""
+    import repro.baselines.tadw as tadw_mod
+    from repro.eval import methods
+
+    def capped(*args, **kwargs):
+        kwargs["max_nodes"] = 1
+        return tadw_mod.tadw_lite(*args, **kwargs)
+
+    monkeypatch.setattr(methods, "tadw_lite", capped)
+
+
 @pytest.fixture(scope="module")
 def g():
     return load("cora", profile="test")
@@ -62,14 +74,9 @@ class TestLinkPredictionHarness:
 
     def test_too_expensive_renders_as_dash(self, monkeypatch):
         """A method over its scale cap yields None — the paper's "-" cell."""
-        import repro.baselines.tadw as tadw_mod
         from repro.eval import link_prediction as lp
 
-        def capped(*args, **kwargs):
-            kwargs["max_nodes"] = 1
-            return tadw_mod.tadw_lite(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "tadw_lite", capped)
+        _cap_tadw(monkeypatch)
         g = load("cora", profile="test")
         assert lp.run_link_prediction(g, "TADW", k=16) is None
 
@@ -93,6 +100,11 @@ class TestClassificationHarness:
         feats = method_features(g, method, k=32)
         assert feats.shape[0] == g.n
 
+    def test_too_expensive_returns_none(self, monkeypatch, g):
+        """A capped method has no features — the paper's "-" cell."""
+        _cap_tadw(monkeypatch)
+        assert method_features(g, "TADW", k=16) is None
+
     def test_parallel_features(self, spark, g):
         feats = method_features(g, "PANE (parallel)", spark=spark, k=32, nb=4)
         assert feats.shape == (g.n, 32)
@@ -108,3 +120,24 @@ class TestClassificationHarness:
             f_nrp, g.labels, g.n_labels, fractions=(0.7,), repeats=3
         )[0.7][0]
         assert c_pane > c_nrp
+
+
+class TestMethodNames:
+    """Each harness accepts only its own methods, though one dispatcher
+    behind them knows every method name."""
+
+    @pytest.mark.parametrize(
+        "harness, method",
+        [
+            (run_link_prediction, "DeepMagic"),
+            (run_link_prediction, "BLA-lite"),
+            (method_features, "DeepMagic"),
+            (method_features, "BLA-lite"),
+            (run_attr_inference, "NRP-lite"),
+        ],
+        ids=["link-unknown", "link-BLA-lite", "features-unknown",
+             "features-BLA-lite", "attr-NRP-lite"],
+    )
+    def test_method_outside_harness_raises(self, g, harness, method):
+        with pytest.raises(ValueError):
+            harness(g, method)
