@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import row_norm_attr, spmv_coo, sym_norm_adj
+from repro.baselines.common import row_norm_attr, sym_norm_adj
+from repro.linalg.coo import coo_plan, coo_spmm
 
 
 @dataclass
@@ -40,9 +41,9 @@ def bla_lite(
     iters: int = 10,
 ) -> BlaScores:
     """``Z ← (1-λ)·R + λ·Â·Z`` to (near) fixpoint, seeded by observed R."""
-    s, t, w = sym_norm_adj(n, src, dst)
+    plan = coo_plan(*sym_norm_adj(n, src, dst))
     r = row_norm_attr(n, d, node, attr, weight)
     z = r.copy()
     for _ in range(iters):
-        z = (1 - damping) * r + damping * spmv_coo(s, t, w, z, n)
+        z = (1 - damping) * r + damping * coo_spmm(plan, z, n)
     return BlaScores(z=z)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.coo import coo_plan, coo_spmm
+from repro.linalg.coo import coo_plan, coo_spmm, normalize_rows
 
 
 class MethodTooExpensive(Exception):
@@ -38,13 +38,6 @@ class NodeEmbedding:
         return np.divide(self.x, s, out=np.zeros_like(self.x), where=s > 0)
 
 
-def spmv_coo(
-    out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray, v: np.ndarray, n: int
-) -> np.ndarray:
-    """``out[out_idx] += w · v[in_idx]`` — COO sparse-times-dense (reduceat)."""
-    return coo_spmm(coo_plan(out_idx, in_idx, w), v, n)
-
-
 def sym_norm_adj(
     n: int, src: np.ndarray, dst: np.ndarray, self_loops: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,8 +67,7 @@ def row_norm_attr(
     """Dense row-normalized attribute matrix (each node's attr distribution)."""
     r = np.zeros((n, d))
     np.add.at(r, (node, attr), weight)
-    s = r.sum(axis=1, keepdims=True)
-    return np.divide(r, s, out=np.zeros_like(r), where=s > 0)
+    return normalize_rows(r)
 
 
 def smoothed_attrs(
@@ -93,8 +85,8 @@ def smoothed_attrs(
     The common core of the CAN/BANE-class baselines: attribute signal
     diffused a few hops over the (undirected, normalized) topology.
     """
-    s, t, w = sym_norm_adj(n, src, dst)
+    plan = coo_plan(*sym_norm_adj(n, src, dst))
     k = row_norm_attr(n, d, node, attr, weight)
     for _ in range(hops):
-        k = spmv_coo(s, t, w, k, n)
+        k = coo_spmm(plan, k, n)
     return k

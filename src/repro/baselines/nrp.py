@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import spmv_coo
+from repro.linalg.coo import CooPlan, coo_plan, coo_spmm, walk_weights
 
 
 @dataclass
@@ -55,29 +55,27 @@ def nrp_lite(
     rng = np.random.default_rng(seed)
     k2 = max(1, k // 2)
     q_dim = min(n, k2 + 8)
-    deg = np.zeros(n)
-    np.add.at(deg, src, 1.0)
-    w = 1.0 / np.maximum(deg[src], 1.0)
+    w = walk_weights(n, src)
+    fwd, bwd = coo_plan(src, dst, w), coo_plan(dst, src, w)
 
-    def ppr_apply(v: np.ndarray, transpose: bool) -> np.ndarray:
-        """``Π̃ v`` (or ``Π̃^T v``) by the truncated-series recurrence.
+    def ppr_apply(v: np.ndarray, plan: CooPlan) -> np.ndarray:
+        """``Π̃ v`` (``Π̃^T v`` with the backward plan) by the truncated-series recurrence.
 
         The series starts at ℓ=1 (Π̃ = Π − α·I): like NRP/STRAP, we
         factorize the *off-diagonal* proximity — the α·I self-mass is a
         full-rank component that would otherwise eat most of the sketch's
         capacity while carrying zero link information.
         """
-        oi, ii = (dst, src) if transpose else (src, dst)
         acc = np.zeros_like(v)
         cur = v
         for ell in range(1, t + 1):
-            cur = spmv_coo(oi, ii, w, cur, n)
+            cur = coo_spmm(plan, cur, n)
             acc += alpha * (1 - alpha) ** ell * cur
         return acc
 
     omega = rng.standard_normal((n, q_dim))
-    q, _ = np.linalg.qr(ppr_apply(omega, transpose=False))
-    b = ppr_apply(q, transpose=True).T  # Q^T Π  (q_dim × n)
+    q, _ = np.linalg.qr(ppr_apply(omega, fwd))
+    b = ppr_apply(q, bwd).T  # Q^T Π  (q_dim × n)
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     r = min(k2, len(s))
     scale = np.sqrt(s[:r])

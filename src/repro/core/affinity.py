@@ -31,13 +31,12 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.linalg import (
-    STATE_SCHEMA,
-    block_state,
     coo_plan,
     coo_spmm,
     node_blocks,
     normalize_cols,
     normalize_rows,
+    pin_blocks,
     state_to_numpy,
     walk_weights,
 )
@@ -122,11 +121,10 @@ def papmi_from_states(
     task's memory (DESIGN.md system #4). One task per column block
     densifies its n-row slices (duplicate ``(node, attr)`` pairs add up),
     runs all ``t`` iterations and finishes ``F'`` (column normalization is
-    local to a column). One transpose, range-partitioned on the node
-    block, then lands each node block in its own partition, where ``Pb``
-    is row-normalized into ``B'``. The result is one materialized state,
-    a row per node block holding both ``F'`` and ``B'``, covering every
-    node ``0..n-1``.
+    local to a column). One transpose (``pin_blocks``) then lands each
+    node block in its own partition, where ``Pb`` is row-normalized into
+    ``B'``. The result is one materialized state, a row per node block
+    holding both ``F'`` and ``B'``, covering every node ``0..n-1``.
     """
     w_r = weight / np.bincount(node, weight, minlength=n)[node]
     w_c = weight / np.bincount(attr, weight, minlength=d)[attr]
@@ -159,31 +157,21 @@ def papmi_from_states(
                     }
                 )
 
-    def node_block(batches):
-        pdfs = list(batches)
-        if not pdfs:
-            return
-        pdf = pd.concat(pdfs).sort_values(["block", "cblk"])
-        for blk in pdf["block"].unique():  # one block, once pinned
-            ids = blocks[blk]
-            part = pdf[pdf["block"] == blk]
-            f = np.hstack([s.reshape(len(ids), -1) for s in part["f"]])
-            pb = np.hstack([s.reshape(len(ids), -1) for s in part["pb"]])
-            yield block_state(blk, ids, f, np.log2(d * normalize_rows(pb) + 1))
+    def node_block(ids, rows):
+        rows = rows.sort_values("cblk")
+        f = np.hstack([s.reshape(len(ids), -1) for s in rows["f"]])
+        pb = np.hstack([s.reshape(len(ids), -1) for s in rows["pb"]])
+        return np.stack([f, np.log2(d * normalize_rows(pb) + 1)])
 
-    # spark.range pins one column block to each task. The range partitioner
-    # samples its input in a job of its own, so the column stage is
-    # checkpointed first and runs once.
+    # spark.range pins one column block to each task. pin_blocks samples
+    # its input in a job of its own, so the column stage is checkpointed
+    # first and runs once.
     cols = (
         spark.range(nc, numPartitions=nc)
         .mapInPandas(column_block, "block int, cblk int, f array<double>, pb array<double>")
         .localCheckpoint(eager=True)
     )
-    state = (
-        cols.repartitionByRange(len(blocks), "block")
-        .mapInPandas(node_block, STATE_SCHEMA)
-        .localCheckpoint(eager=True)
-    )
+    state = pin_blocks(cols, n, nb, node_block)
     shared.unpersist()
     # One state, returned twice: panebench/run.py unpacks the pair into affinities_spark_to_numpy.
     return state, state

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.linalg.matrix import STAGE_SCHEMA, rows_of, state_to_numpy
+from repro.linalg.matrix import map_blocks, state_to_numpy
 
 _TINY = 1e-12
 
@@ -166,35 +166,23 @@ def psvdccd_spark(
 ) -> tuple[DataFrame, np.ndarray]:
     """Algorithm 8's refinement loop on the CCD state DataFrame.
 
-    Each iteration is one narrow pass with ``Y`` shipped in the task
-    closure: every node block runs the body of ``svdccd_numpy`` on its
-    rows — ``x_phase`` (Alg. 8 Lines 3-10), then its partial ``moments``.
-    The driver sums them into ``(G, C)`` in block order and replays the
-    exact Y-phase (Lines 11-16).
+    Each iteration is one ``map_blocks`` pass with ``Y`` shipped in the
+    task closure: every node block runs the body of ``svdccd_numpy`` on
+    its rows — ``x_phase`` (Alg. 8 Lines 3-10), then its partial
+    ``moments``. The driver sums them into ``(G, C)`` in block order and
+    replays the exact Y-phase (Lines 11-16).
     """
     d, k2 = y.shape
     for _ in range(t):
-        y_cur = y
 
-        def ccd_pass(batches):
-            for pdf in batches:
-                ms = rows_of(pdf, "m")
-                xs = [np.stack(x_phase(*m, *x, y_cur)) for m, x in zip(ms, rows_of(pdf, "x"))]
-                yield pdf.assign(
-                    x=[x.ravel() for x in xs],
-                    out=[
-                        np.concatenate([a.ravel() for a in moments(*m, *x)])
-                        for m, x in zip(ms, xs)
-                    ],
-                )
+        def ccd_block(blk, m, x, y=y):
+            x = np.stack(x_phase(*m, *x, y))
+            return x, np.concatenate([a.ravel() for a in moments(*m, *x)])
 
-        # The lazy checkpoint is filled by the collect's job: one job per pass.
-        stage = state.mapInPandas(ccd_pass, STAGE_SCHEMA).localCheckpoint(eager=False)
-        parts = sorted(stage.select("block", "out").collect())
-        gc = np.sum([np.asarray(out) for _, out in parts], axis=0)
+        state, parts = map_blocks(state, ccd_block)
+        gc = np.sum(parts, axis=0)
         g, c = gc[: k2 * k2].reshape(k2, k2), gc[k2 * k2 :].reshape(k2, d)
         y = y_phase_from_moments(y, g, c)
-        state = stage.drop("out")
     return state, y
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.linalg.matrix import STAGE_SCHEMA, STATE_SCHEMA, rows_of
+from repro.linalg.matrix import map_blocks
 from repro.linalg.randsvd import rand_svd
 
 
@@ -40,62 +40,34 @@ def random_init_numpy(
 
 
 def sm_greedy_init_spark(
-    state: DataFrame,
-    d: int,
-    k2: int,
-    t: int,
-    seed: int = 0,
-    random_init: bool = False,
+    state: DataFrame, d: int, k2: int, t: int, seed: int = 0
 ) -> tuple[DataFrame, np.ndarray]:
     """Algorithm 7 (SMGreedyInit): returns the CCD state and ``Y``.
 
     The returned state is PAPMI's, with each block's ``x`` set to
     ``[Xfᵢ; Xbᵢ]``; ``Y`` lives on the driver (it is d×k/2 and is shipped
-    into every CCD pass). Both stages are narrow maps over the blocks'
-    rows. With ``random_init=True`` the SVD seeding is replaced by
-    Gaussian noise and the split-merge RandSVD is skipped — the PANE-R
-    ablation of Section 5.7, sharing all other machinery.
+    into every CCD pass). Both stages are passes of ``map_blocks``.
     """
-    if random_init:
-        y = np.random.default_rng(seed + 2003).standard_normal((d, k2)) / np.sqrt(k2)
-    else:
-        # -- Split phase: one RandSVD of F'ᵢ per node block (Alg. 7 Lines 1-3).
-        # The block's U_i = ΦΣ stays in its row's x; only V_i goes to the
-        # driver, since the merge input [V1 … Vnb]^T is small by construction.
-        def split(batches):
-            for pdf in batches:
-                svds = [
-                    rand_svd(m[0], k2, t, seed=seed + 17 * int(blk))
-                    for blk, m in zip(pdf["block"], rows_of(pdf, "m"))
-                ]
-                yield pdf.assign(
-                    x=[(u @ s).ravel() for u, s, _ in svds],
-                    out=[v.T.ravel() for _, _, v in svds],
-                )
 
-        # The lazy checkpoint is filled by the collect's job: the split runs once.
-        state = state.mapInPandas(split, STAGE_SCHEMA).localCheckpoint(eager=False)
-        v_rows = sorted(state.select("block", "out").collect())
+    # -- Split phase: one RandSVD of F'ᵢ per node block (Alg. 7 Lines 1-3).
+    # The block's UᵢΣᵢ stays in its x, as [UᵢΣᵢ; 0] until assembled; only
+    # Vᵢ goes to the driver, since the merge input [V1 … Vnb]^T is small by
+    # construction.
+    def split(blk, m, x):
+        u, s, v = rand_svd(m[0], k2, t, seed=seed + 17 * int(blk))
+        us = u @ s
+        return np.stack([us, np.zeros_like(us)]), v.T
 
-        # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
-        v_stack = np.vstack([np.reshape(out, (k2, d)) for _, out in v_rows])
-        phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
-        # Block i's W_i is its k2 rows of ΦΣ.
-        w = dict(zip([blk for blk, _ in v_rows], np.split(phi @ sig, len(v_rows))))
-        state = state.drop("out")
+    state, v_parts = map_blocks(state, split)
+
+    # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
+    v_stack = np.vstack([np.reshape(v, (k2, d)) for v in v_parts])
+    phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
+    w = np.split(phi @ sig, len(v_parts))  # block i's Wᵢ: its k2 rows of ΦΣ
 
     # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
-    def assemble(batches):
-        for pdf in batches:
-            xs = []
-            for blk, m, us in zip(pdf["block"], rows_of(pdf, "m"), pdf["x"]):
-                if random_init:  # one stream per block: its Xf rows, then its Xb rows
-                    rng = np.random.default_rng(seed + 31 * int(blk))
-                    x = rng.standard_normal((2, m.shape[1], k2)) * (1.0 / np.sqrt(k2))
-                else:
-                    x = np.stack([np.reshape(us, (-1, k2)) @ w[blk], m[1] @ y])
-                xs.append(x.ravel())
-            yield pdf.assign(x=xs)
+    def assemble(blk, m, x):
+        return np.stack([x[0] @ w[blk], m[1] @ y]), np.empty(0)
 
-    state = state.mapInPandas(assemble, STATE_SCHEMA).localCheckpoint(eager=True)
+    state, _ = map_blocks(state, assemble)
     return state, y

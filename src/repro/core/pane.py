@@ -9,6 +9,7 @@ PAPMI computes the affinities, SMGreedyInit seeds and PSVDCCD refines.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
 from repro.core.ccd import collect_embeddings, psvdccd_spark, svdccd_numpy
-from repro.core.greedy_init import (
-    greedy_init_numpy,
-    random_init_numpy,
-    sm_greedy_init_spark,
-)
+from repro.core.greedy_init import greedy_init_numpy, sm_greedy_init_spark
 
 
 @dataclass
@@ -88,6 +85,8 @@ def check_inputs(
     weight = np.asarray(weight)
     if not np.all((weight > 0) & np.isfinite(weight)):
         raise ValueError("attribute weights must be finite and > 0")
+    if not isinstance(k, numbers.Integral) or not isinstance(nb, numbers.Integral):
+        raise ValueError(f"k and nb must be integers, got k={k!r}, nb={nb!r}")
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
     if nb < 1:
@@ -108,17 +107,12 @@ def pane_numpy(
     alpha: float = 0.5,
     eps: float = 0.015,
     seed: int = 0,
-    greedy: bool = True,
 ) -> PaneEmbedding:
     """Algorithm 1: APMI → GreedyInit → SVDCCD, all in NumPy."""
     check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps)
     t = num_iterations(eps, alpha)
     f, b = apmi_numpy(n, d, src, dst, node, attr, weight, alpha, t)
-    k2 = k // 2
-    if greedy:
-        xf, xb, y = greedy_init_numpy(f, b, k2, t, seed)
-    else:
-        xf, xb, y = random_init_numpy(n, d, k2, seed)
+    xf, xb, y = greedy_init_numpy(f, b, k // 2, t, seed)
     xf, xb, y = svdccd_numpy(f, b, xf, xb, y, t)
     return PaneEmbedding(xf, xb, y)
 
@@ -137,7 +131,6 @@ def pane_spark(
     eps: float = 0.015,
     nb: int = 8,
     seed: int = 0,
-    greedy: bool = True,
 ) -> PaneEmbedding:
     """Algorithm 5: PAPMI → SMGreedyInit → PSVDCCD on Spark DataFrames.
 
@@ -152,7 +145,7 @@ def pane_spark(
     t = num_iterations(eps, alpha)
     k2 = k // 2
     state, _ = papmi_from_states(spark, n, d, src, dst, node, attr, weight, alpha, t, nb)
-    state, y = sm_greedy_init_spark(state, d, k2, t, seed, random_init=not greedy)
+    state, y = sm_greedy_init_spark(state, d, k2, t, seed)
     state, y = psvdccd_spark(state, y, t)
     xf, xb = collect_embeddings(state, n, k2)
     return PaneEmbedding(xf, xb, y)

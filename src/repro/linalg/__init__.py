@@ -8,6 +8,7 @@
   embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):
   one row per node block holding both sides of the block's flattened
   rows, so each of the paper's ``nb`` threads maps to one row and one task.
+  ``pin_blocks`` builds a state and ``map_blocks`` runs a pass over it.
 * ``randsvd``: the randomized SVD of GreedyInit/SMGreedyInit.
 """
 from repro.linalg.coo import (  # noqa: F401
@@ -18,11 +19,9 @@ from repro.linalg.coo import (  # noqa: F401
     walk_weights,
 )
 from repro.linalg.matrix import (  # noqa: F401
-    STAGE_SCHEMA,
-    STATE_SCHEMA,
-    block_state,
+    map_blocks,
     node_blocks,
-    rows_of,
+    pin_blocks,
     state_to_numpy,
 )
 from repro.linalg.randsvd import rand_svd  # noqa: F401

@@ -1,24 +1,22 @@
 """Spark states from dense NumPy matrices, to test one parallel stage at a time."""
+import numpy as np
 from pyspark.sql import functions as F
 
-from repro.linalg import STATE_SCHEMA, block_state, node_blocks
+from repro.linalg import map_blocks, node_blocks, pin_blocks
 
 
 def pinned_state(spark, nb, f, b, xf=None, xb=None):
     """The state of ``(F', B')`` — and of ``(Xf, Xb)`` if given — in ``nb``
     node blocks, block ``i`` in partition ``i`` as PAPMI leaves it."""
     blocks = node_blocks(f.shape[0], nb)
-
-    def emit(batches):
-        for pdf in batches:
-            for blk in pdf["id"]:
-                ids = blocks[blk]
-                xs = [None if x is None else x[ids] for x in (xf, xb)]
-                yield block_state(blk, ids, f[ids], b[ids], *xs)
-
-    return spark.range(len(blocks), numPartitions=len(blocks)).mapInPandas(
-        emit, STATE_SCHEMA
-    )
+    df = spark.range(len(blocks)).select(F.col("id").cast("int").alias("block"))
+    state = pin_blocks(df, f.shape[0], nb, lambda ids, _: np.stack([f[ids], b[ids]]))
+    if xf is not None:
+        state, _ = map_blocks(
+            state,
+            lambda blk, m, x: (np.stack([xf[blocks[blk]], xb[blocks[blk]]]), np.empty(0)),
+        )
+    return state
 
 
 def partition_blocks(state) -> list[set]:

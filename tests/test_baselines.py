@@ -9,7 +9,6 @@ from repro.baselines.common import (
     MethodTooExpensive,
     row_norm_attr,
     smoothed_attrs,
-    spmv_coo,
     sym_norm_adj,
 )
 from repro.baselines.netmf import netmf_lite
@@ -18,6 +17,7 @@ from repro.baselines.tadw import tadw_lite
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
 from repro.eval.splits import attribute_split, link_split
+from repro.linalg.coo import coo_plan, coo_spmm
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestCommonKernels:
         v = rng.standard_normal((n, 4))
         dense = np.zeros((n, n))
         np.add.at(dense, (oi, ii), w)
-        assert np.allclose(spmv_coo(oi, ii, w, v, n), dense @ v)
+        assert np.allclose(coo_spmm(coo_plan(oi, ii, w), v, n), dense @ v)
 
     def test_sym_norm_adj_symmetric(self):
         s, t, w = sym_norm_adj(6, np.array([0, 1, 2]), np.array([1, 2, 3]))

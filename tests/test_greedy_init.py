@@ -112,19 +112,6 @@ class TestSMGreedyInitSpark:
         obj_st = objective(f, b, *xg)
         assert obj_sm <= 1.05 * obj_st + 1e-9
 
-    def test_random_init_flag(self, spark):
-        n, d = 20, 8
-        f, b = _affinities(seed=8)
-        f, b = f[:n, :d], b[:n, :d]
-        state, y = sm_greedy_init_spark(
-            pinned_state(spark, 2, f, b), d, 3, t=4, seed=1, random_init=True,
-        )
-        xf, _ = state_to_numpy(state, n, 3, "x")
-        assert xf.shape == (n, 3) and np.all(np.abs(xf).sum(axis=1) > 0)
-        assert y.shape == (d, 3)
-        # random init must NOT reconstruct F' well
-        assert np.linalg.norm(f - xf @ y.T) > 0.5 * np.linalg.norm(f)
-
     def test_more_blocks_than_wide(self, spark):
         """Blocks narrower than k2 rows still produce fixed-width output."""
         n, d = 9, 6

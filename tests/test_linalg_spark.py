@@ -1,7 +1,8 @@
 """Tests for the linear-algebra substrate (system #1).
 
-The state layout (one row per node block) is round-tripped
-on Spark. The COO kernels both
+The state layout (one row per node block) is round-tripped on Spark,
+and ``map_blocks`` is checked for its contract: one job per pass, block
+order, and no change to rows it does not write. The COO kernels both
 pipelines share (walk weights, presorted SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
 SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
@@ -10,10 +11,13 @@ wrong gather or aggregation is caught as a wrong *result*.
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.linalg import (
     coo_plan,
     coo_spmm,
+    map_blocks,
+    node_blocks,
     normalize_cols,
     normalize_rows,
     state_to_numpy,
@@ -60,6 +64,40 @@ class TestStateRoundtrip:
         out = state_to_numpy(st, 9, 2)
         assert out[0, 0].tolist() == [1, 1] and out[1, 1].tolist() == [0, 0]
         assert out[0, 7].tolist() == [0, 0] and out[1, 8].tolist() == [1, 1]
+
+
+class TestMapBlocks:
+    def test_identity_pass_is_bit_identical(self, spark):
+        f, b, xf, xb = np.random.default_rng(2).standard_normal((4, 17, 5))
+        st, outs = map_blocks(
+            pinned_state(spark, 3, f, b, xf, xb), lambda blk, m, x: (x, np.empty(0))
+        )
+        assert np.array_equal(state_to_numpy(st, 17, 5), [f, b])
+        assert np.array_equal(state_to_numpy(st, 17, 5, "x"), [xf, xb])
+        assert [len(out) for out in outs] == [0, 0, 0]
+
+    @pytest.mark.parametrize("nb", [3, 4])
+    def test_outs_in_block_order(self, spark, nb):
+        """Rows stored in reverse block order still give outs in block order."""
+        mat = np.zeros((10, 2))
+        st = pinned_state(spark, nb, mat, mat).orderBy(F.desc("block"))
+        _, outs = map_blocks(st, lambda blk, m, x: (x, np.array([blk, m.shape[1]])))
+        want = [[blk, len(ids)] for blk, ids in enumerate(node_blocks(10, nb))]
+        assert [out.tolist() for out in outs] == want
+
+    def test_one_job_per_pass(self, spark):
+        mat = np.ones((10, 3))
+        st = pinned_state(spark, 4, mat, mat)
+        sc = spark.sparkContext
+        group = "map-blocks-one-job"
+        sc.setJobGroup(group, group)
+        try:
+            st, _ = map_blocks(st, lambda blk, m, x: (m[:, :, :1] * blk, m[0, :1]))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        xf, _ = state_to_numpy(st, 10, 1, "x")
+        assert xf[:, 0].tolist() == [i % 4 for i in range(10)]  # the pass's x, kept
 
 
 class TestWalkEdges:

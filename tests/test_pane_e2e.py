@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
-from repro.core.ccd import objective, psvdccd_spark
-from repro.core.greedy_init import sm_greedy_init_spark
+from repro.core.ccd import objective, psvdccd_spark, svdccd_numpy
+from repro.core.greedy_init import greedy_init_numpy, random_init_numpy, sm_greedy_init_spark
 from repro.core.pane import PaneEmbedding, pane_numpy, pane_spark
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
@@ -65,13 +65,9 @@ class TestSingleThread:
         """Section 5.7 (Figures 7-8): GreedyInit beats random init."""
         t = num_iterations(0.015, 0.5)
         f, b = apmi_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, 0.5, t)
-        e_g = pane_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                         k=32, seed=0, greedy=True)
-        e_r = pane_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                         k=32, seed=0, greedy=False)
-        assert objective(f, b, e_g.xf, e_g.xb, e_g.y) < objective(
-            f, b, e_r.xf, e_r.xb, e_r.y
-        )
+        e_g = svdccd_numpy(f, b, *greedy_init_numpy(f, b, 16, t, 0), t)
+        e_r = svdccd_numpy(f, b, *random_init_numpy(g.n, g.d, 16, 0), t)
+        assert objective(f, b, *e_g) < objective(f, b, *e_r)
 
     def test_attr_scores_eq21(self, g, emb_st):
         nodes = np.array([0, 1, 2])
@@ -181,6 +177,29 @@ class TestBlockPlacement:
             assert st.rdd.getNumPartitions() == len(node_blocks(g.n, nb))
 
 
+class TestJobBudget:
+    def test_jobs_per_run(self, spark):
+        """nb=3: PAPMI 4, SMGreedyInit 2, PSVDCCD one per CCD iteration,
+        collect 1 — 13 jobs at the default ϵ (t=6), 10 at t=3."""
+        rng = np.random.default_rng(4)
+        n, d = 24, 7
+        args = (
+            n, d, rng.integers(0, n, 60), rng.integers(0, n, 60),
+            rng.integers(0, n, 40), rng.integers(0, d, 40), np.ones(40),
+        )
+        sc = spark.sparkContext
+        jobs = {}
+        for eps in (0.015, 0.1):
+            group = f"pane-job-budget-{eps}"
+            sc.setJobGroup(group, group)
+            try:
+                pane_spark(spark, *args, k=4, eps=eps, nb=3, seed=0)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            jobs[num_iterations(eps, 0.5)] = len(sc.statusTracker().getJobIdsForGroup(group))
+        assert jobs == {6: 13, 3: 10}
+
+
 class TestBetterThanRandomEmbeddings:
     def test_attr_inference_beats_noise(self, g):
         s = attribute_split(g, seed=0)
@@ -268,13 +287,15 @@ class TestInputValidation:
             dict(eps=1.5),
             dict(src=np.array([0.0, 1.0, 2.0])),
             dict(node=np.array([0.5, 1.0, 3.0])),
+            dict(k=4.0),
+            dict(nb=2.5),
         ],
         ids=[
             "src-out-of-range", "dst-negative", "node-out-of-range",
             "attr-out-of-range", "edge-lengths", "assoc-lengths",
             "zero-weight", "negative-weight", "odd-k", "k-below-2", "nb-below-1",
             "inf-weight", "nan-weight", "alpha-zero", "alpha-one", "eps-zero",
-            "eps-above-1", "float-src", "fractional-node",
+            "eps-above-1", "float-src", "fractional-node", "float-k", "float-nb",
         ],
     )
     def test_bad_input_raises(self, spark, change):

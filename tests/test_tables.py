@@ -117,6 +117,28 @@ class TestBuilders:
         assert calls == [(cora, 1), (cora, 1), (cora, 2), (cora, 4),
                          (fb, 1), (fb, 2), (fb, 4)]
 
+    def test_table4_warms_up_before_timing(self, monkeypatch):
+        """One untimed PANE (parallel) run on the first dataset precedes the
+        timed cells, so the first cell does not pay the warm-up."""
+        import repro.core.pane as pane_mod
+        import repro.eval.methods as methods_mod
+
+        calls = []
+
+        def record(spark, n, d, *args, k, nb, **kw):
+            calls.append((n, nb))
+            z = np.zeros((n, k // 2))
+            return pane_mod.PaneEmbedding(z, z, np.zeros((d, k // 2)))
+
+        for mod in (pane_mod, methods_mod):
+            monkeypatch.setattr(mod, "pane_spark", record)
+        rows = table4_rows(
+            object(), profile="test", datasets=["cora", "facebook"], k=32, nb=2
+        )
+        cora, fb = (load(name, profile="test").n for name in ("cora", "facebook"))
+        assert sum(r["method"] == "PANE (parallel)" for r in rows) == 2
+        assert calls == [(cora, 2), (cora, 2), (fb, 2)]
+
     def test_greedyinit_rows(self):
         rows = greedyinit_rows(
             profile="test", datasets=("cora",), iters=(1, 5), k=16
