@@ -68,6 +68,11 @@ def check_inputs(
     nb: int = 1,
 ) -> None:
     """Raise ``ValueError`` on input that either pipeline would mis-handle."""
+    if not isinstance(n, numbers.Integral) or not isinstance(d, numbers.Integral):
+        raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}")
+    for name, arr in (("src", src), ("dst", dst), ("node", node), ("attr", attr), ("weight", weight)):
+        if np.ndim(arr) != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {np.shape(arr)}")
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if len(src) != len(dst):

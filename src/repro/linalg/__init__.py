@@ -2,7 +2,7 @@
 
 * **Sparse graph matrices** — the random-walk matrix ``P`` and the
   attribute matrix ``R`` — are COO arrays on the driver and in tasks
-  (``coo``: walk weights, presorted SpMM, row/column normalization, the
+  (``coo``: walk weights, jagged-diagonal SpMM, row/column normalization, the
   kernels both pipelines share).
 * **Dense node-indexed matrices** (the affinities ``F'/B'`` and the
   embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):

@@ -1,10 +1,19 @@
 """NumPy COO kernels shared by both PANE pipelines.
 
 The random-walk matrix ``P = D^{-1} A`` is held as COO arrays ``(src,
-dst, w)``. ``coo_plan`` sorts one direction of it by output row once, so
-each of the ``t`` products of an APMI run (Alg. 2), or of one PAPMI
-column-block task (Alg. 6), is a gather plus one ``np.add.reduceat`` —
-``np.add.at`` is an order of magnitude slower at bench scale.
+dst, w)``. ``coo_plan`` lays one direction of it out once in the
+jagged-diagonal (JAD) format of Saad (SIAM J. Sci. Stat. Comput., 1989):
+the output rows ordered by entry count, descending, and slot ``k``
+holding the ``k``-th entry of every row that has more than ``k``. Those
+rows are a prefix of the row order, so each of the ``t`` products of an
+APMI run (Alg. 2), or of one PAPMI column-block task (Alg. 6), adds one
+gathered slot at a time into a contiguous ``(rows, width)`` accumulator
+and scatters it once; no temporary is ``nnz × width``. The slot loop
+stops at the first slot with fewer than ``_MIN_SLOT_ROWS`` rows, and the
+rest of those few heavy rows' entries go through one gather plus
+``np.add.reduceat``, so a hub is not one slot per entry. Each output
+column is summed in the same order at any width, so splitting the
+columns into blocks gives the same bits.
 """
 from __future__ import annotations
 
@@ -12,14 +21,30 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Measured on a 4-core box: the bench stand-ins run as fast with any value
+# from 4 to 128, and ~20% slower at 256. At 16, 16 hub rows of 2000 entries
+# at width 8 ran 4× slower than at 32 (per-slot overhead); at 64 and 128,
+# 48 such rows at widths 64–200 ran 2–3× slower (the tail's gather).
+_MIN_SLOT_ROWS = 32
+
 
 class CooPlan(NamedTuple):
-    """A COO matrix sorted by output row: ``out[rows] = reduceat(w·V[cols], starts)``."""
+    """A COO matrix in jagged-diagonal order.
+
+    ``rows`` are the output rows, most entries first. Slot ``k`` is
+    ``cols[bounds[k]:bounds[k+1]]`` (input rows) and ``w[...]`` (weights)
+    for the first ``bounds[k+1] - bounds[k]`` of ``rows``. The tail holds
+    the remaining entries of ``rows[:len(tail_starts)]``, row by row, as
+    ``reduceat`` segments.
+    """
 
     rows: np.ndarray
-    starts: np.ndarray
+    bounds: np.ndarray
     cols: np.ndarray
     w: np.ndarray
+    tail_starts: np.ndarray
+    tail_cols: np.ndarray
+    tail_w: np.ndarray
 
 
 def walk_weights(n: int, src: np.ndarray) -> np.ndarray:
@@ -34,19 +59,49 @@ def walk_weights(n: int, src: np.ndarray) -> np.ndarray:
 
 
 def coo_plan(out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray) -> CooPlan:
-    """Sort the COO entries ``(out_idx, in_idx, w)`` by output row, once."""
+    """Lay the COO entries ``(out_idx, in_idx, w)`` out in JAD order, once.
+
+    Each row keeps its entries in their stable sort order.
+    """
     order = np.argsort(out_idx, kind="stable")
-    rows, starts = np.unique(out_idx[order], return_index=True)
-    return CooPlan(rows, starts, in_idx[order], w[order][:, None])
+    ids = out_idx[order]
+    first = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))  # each row's start in ``order``
+    counts = np.diff(first, append=len(ids))
+    by_count = np.argsort(-counts, kind="stable")
+    rows, first, counts = ids[first[by_count]], first[by_count], counts[by_count]
+    # Slot k holds the rows with more than k entries; it has at least
+    # _MIN_SLOT_ROWS of them while k is below the _MIN_SLOT_ROWS-th count.
+    n_slots = int(counts[_MIN_SLOT_ROWS - 1]) if len(rows) >= _MIN_SLOT_ROWS else 0
+    per_slot = np.searchsorted(-counts, -np.arange(n_slots)).tolist()
+    slot_idx = np.concatenate([order[:0]] + [order[first[:c] + k] for k, c in enumerate(per_slot)])
+    heavy = counts > n_slots  # a prefix of ``rows``, shorter than _MIN_SLOT_ROWS
+    rest = counts[heavy] - n_slots
+    tail_idx = np.concatenate(
+        [order[:0]] + [order[f : f + r] for f, r in zip((first[heavy] + n_slots).tolist(), rest.tolist())]
+    )
+    return CooPlan(
+        rows, np.cumsum([0] + per_slot), in_idx[slot_idx], w[slot_idx][:, None],
+        np.cumsum(rest) - rest, in_idx[tail_idx], w[tail_idx][:, None],
+    )
 
 
 def coo_spmm(plan: CooPlan, v: np.ndarray, n: int) -> np.ndarray:
-    """``out[out_idx] += w · v[in_idx]`` — sparse times dense, ``(n, v.shape[1])``."""
+    """``out[out_idx] += w · v[in_idx]`` — sparse times dense, ``(n, v.shape[1])``.
+
+    Temporaries are at most ``(rows, width)``, plus the heavy rows' tail.
+    """
+    acc = np.zeros((len(plan.rows), v.shape[1]))
+    bounds = plan.bounds.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        slot = v[plan.cols[a:b]]  # at most (rows, width), scaled in place
+        slot *= plan.w[a:b]
+        acc[: b - a] += slot
+    if len(plan.tail_starts):
+        tail = v[plan.tail_cols]
+        tail *= plan.tail_w
+        acc[: len(plan.tail_starts)] += np.add.reduceat(tail, plan.tail_starts, axis=0)
     out = np.zeros((n, v.shape[1]))
-    if len(plan.cols):
-        contrib = v[plan.cols]  # one (nnz, width) temporary, scaled in place
-        contrib *= plan.w
-        out[plan.rows] = np.add.reduceat(contrib, plan.starts, axis=0)
+    out[plan.rows] = acc
     return out
 
 

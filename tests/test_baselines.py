@@ -17,7 +17,7 @@ from repro.baselines.tadw import tadw_lite
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
 from repro.eval.splits import attribute_split, link_split
-from repro.linalg.coo import coo_plan, coo_spmm
+from repro.linalg.coo import _MIN_SLOT_ROWS, coo_plan, coo_spmm
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +30,49 @@ def lsplit(g):
     return link_split(g, seed=0)
 
 
+def _coo_case(name):
+    """``(out_idx, in_idx, w, v, n)`` for one SpMM kernel input."""
+    rng = np.random.default_rng(0)
+    n, m, width = 15, 60, 4
+    oi = rng.integers(0, n, m)
+    ii = rng.integers(0, n, m)
+    w = rng.random(m)
+    if name == "empty":
+        oi, ii, w = oi[:0], ii[:0], w[:0]
+    elif name == "one-row":  # a star's hub: fewer rows than a slot needs
+        oi = np.full(m, 3)
+    elif name == "slots-and-tail":  # 40 rows of 3 entries, and a hub row of 200
+        n = 40
+        oi = np.r_[np.repeat(np.arange(n), 3), np.full(200, 5)]
+        ii = rng.integers(0, n, len(oi))
+        w = rng.random(len(oi))
+    elif name == "repeated-pairs":
+        oi, ii, w = np.tile(oi[:6], 10), np.tile(ii[:6], 10), rng.random(m)
+    elif name == "sorted-descending":
+        oi = np.sort(oi)[::-1].copy()
+    elif name == "int32":
+        oi, ii = oi.astype(np.int32), ii.astype(np.int32)
+    elif name == "width-1":
+        width = 1
+    v = rng.standard_normal((n, width))
+    return oi, ii, w, v, n
+
+
 class TestCommonKernels:
-    def test_spmv_coo_matches_dense(self):
-        rng = np.random.default_rng(0)
-        n = 15
-        oi = rng.integers(0, n, 60)
-        ii = rng.integers(0, n, 60)
-        w = rng.random(60)
-        v = rng.standard_normal((n, 4))
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "empty", "one-row", "slots-and-tail", "repeated-pairs",
+         "sorted-descending", "int32", "width-1"],
+    )
+    def test_spmv_coo_matches_dense(self, case):
+        oi, ii, w, v, n = _coo_case(case)
         dense = np.zeros((n, n))
         np.add.at(dense, (oi, ii), w)
-        assert np.allclose(coo_spmm(coo_plan(oi, ii, w), v, n), dense @ v)
+        plan = coo_plan(oi, ii, w)
+        assert np.allclose(coo_spmm(plan, v, n), dense @ v)
+        # Every slot spans _MIN_SLOT_ROWS rows or more, so a hub row's
+        # entries go through the tail, not one slot each.
+        assert np.all(np.diff(plan.bounds) >= _MIN_SLOT_ROWS)
 
     def test_sym_norm_adj_symmetric(self):
         s, t, w = sym_norm_adj(6, np.array([0, 1, 2]), np.array([1, 2, 3]))

@@ -3,16 +3,19 @@
 The state layout (one row per node block) is round-tripped on Spark,
 and ``map_blocks`` is checked for its contract: one job per pass, block
 order, and no change to rows it does not write. The COO kernels both
-pipelines share (walk weights, presorted SpMM, normalizations) are
+pipelines share (walk weights, jagged-diagonal SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
 SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
 wrong gather or aggregation is caught as a wrong *result*.
 """
+import tracemalloc
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.datasets import attributed_graph
 from repro.linalg import (
     coo_plan,
     coo_spmm,
@@ -126,9 +129,15 @@ class TestSpmm:
     @pytest.mark.parametrize("nb", [1, 2, 7])
     @pytest.mark.parametrize("transpose", [False, True])
     def test_matches_numpy(self, nb, transpose):
-        """One plan serves every column block, as in a PAPMI task."""
-        n, dcols = 25, 4
-        src, dst = _random_graph(n=n, m=100, seed=4)
+        """One plan serves every column block, as in a PAPMI task, bit for bit.
+
+        Each column is summed in the same order at any width, which keeps
+        PAPMI equal to APMI under any column blocking. The graph has more
+        rows than a slot needs, so the product runs both the slot loop
+        and the tail.
+        """
+        n, dcols = 80, 4
+        src, dst = _random_graph(n=n, m=400, seed=4)
         mat = np.random.default_rng(5).standard_normal((n, dcols))
         p = _p_dense(n, src, dst)
         expected = (p.T if transpose else p) @ mat
@@ -138,6 +147,22 @@ class TestSpmm:
             [coo_spmm(plan, blk, n) for blk in np.array_split(mat, nb, axis=1)]
         )
         assert np.allclose(got, expected, atol=1e-10)
+        assert np.array_equal(got, coo_spmm(plan, mat, n))
+
+    def test_peak_memory_below_five_dense_blocks(self):
+        """One product on the tweibo-attr shape allocates no nnz × width temporary."""
+        g = attributed_graph(
+            name="tweibo", seed=0, n=2000, d=200, m=37500, n_labels=8, avg_attrs=6
+        )
+        plan = coo_plan(g.src, g.dst, walk_weights(g.n, g.src))
+        mat = np.random.default_rng(8).random((g.n, 200))
+        tracemalloc.start()
+        try:
+            coo_spmm(plan, mat, g.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * g.n * 200 * 8
 
     def test_spmm_vs_duckdb_scalar_column(self, spark):
         """One-column SpMM is a SQL join+group-by — oracle-checkable."""

@@ -289,6 +289,9 @@ class TestInputValidation:
             dict(node=np.array([0.5, 1.0, 3.0])),
             dict(k=4.0),
             dict(nb=2.5),
+            dict(n=10.0),
+            dict(d=4.0),
+            dict(src=np.array([0, 1, 2]).reshape(-1, 1)),
         ],
         ids=[
             "src-out-of-range", "dst-negative", "node-out-of-range",
@@ -296,6 +299,7 @@ class TestInputValidation:
             "zero-weight", "negative-weight", "odd-k", "k-below-2", "nb-below-1",
             "inf-weight", "nan-weight", "alpha-zero", "alpha-one", "eps-zero",
             "eps-above-1", "float-src", "fractional-node", "float-k", "float-nb",
+            "float-n", "float-d", "2d-src",
         ],
     )
     def test_bad_input_raises(self, spark, change):
