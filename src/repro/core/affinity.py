@@ -15,19 +15,18 @@ SPMI transform ``F' = log2(n·P̂f + 1)``, ``B' = log2(d·P̂b + 1)``
 walk semantics of Section 2.2; see DESIGN.md deviation #1 on the
 Equation (1) typo.
 
-Both run the recurrence through one NumPy kernel, ``propagate``. The
-Spark version (PAPMI) partitions the attribute set, as the paper does:
-the columns of ``Pf``/``Pb`` propagate independently, so each of
-``min(nb, d)`` column-block tasks runs all ``t`` iterations on its own
-slice, with the walk matrix ``P`` and the slices broadcast once, and one
-transpose back to node blocks row-normalizes ``Pb``.
+Both normalize ``R`` by one formula (``attr_weights``) and run the
+recurrence through one NumPy kernel (``propagate``). PAPMI partitions
+the attribute set, as the paper does: the columns of ``Pf``/``Pb``
+propagate independently, so each of ``min(nb, d)`` column-block tasks
+runs all ``t`` iterations on its own slice, and each node block then
+row-normalizes its ``Pb`` rows; ``linalg.matrix.pin_blocks`` runs both.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.linalg import (
@@ -51,13 +50,27 @@ def num_iterations(eps: float, alpha: float) -> int:
     return max(1, math.ceil(t - 1e-9))
 
 
+def attr_weights(
+    n: int, d: int, node: np.ndarray, attr: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each association's ``R_r``/``R_c`` weight: over its node's/attribute's total.
+
+    APMI and PAPMI both normalize ``R`` by this formula, so they agree bit for bit.
+    """
+    return (
+        weight / np.bincount(node, weight, minlength=n)[node],
+        weight / np.bincount(attr, weight, minlength=d)[attr],
+    )
+
+
 def normalize_attrs(
     n: int, d: int, node: np.ndarray, attr: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``(R_r, R_c)`` from COO associations (Equation 1, walk semantics)."""
-    R = np.zeros((n, d))
-    np.add.at(R, (node, attr), weight)
-    return normalize_rows(R), normalize_cols(R)
+    rr, rc = np.zeros((n, d)), np.zeros((n, d))
+    for r, w in zip((rr, rc), attr_weights(n, d, node, attr, weight)):
+        np.add.at(r, (node, attr), w)
+    return rr, rc
 
 
 def propagate(
@@ -117,17 +130,15 @@ def papmi_from_states(
 
     The driver normalizes ``R`` into ``R_r``/``R_c`` weights in O(nnz).
     ``P`` and ``R``, cut into ``min(nb, d)`` contiguous attribute-column
-    blocks, are broadcast, so both must fit in the driver's and in one
-    task's memory (DESIGN.md system #4). One task per column block
-    densifies its n-row slices (duplicate ``(node, attr)`` pairs add up),
-    runs all ``t`` iterations and finishes ``F'`` (column normalization is
-    local to a column). One transpose (``pin_blocks``) then lands each
-    node block in its own partition, where ``Pb`` is row-normalized into
-    ``B'``. The result is one materialized state, a row per node block
-    holding both ``F'`` and ``B'``, covering every node ``0..n-1``.
+    blocks, ship in the tasks' closure, so both must fit in the driver's
+    and in one task's memory (DESIGN.md system #4). ``column_block``
+    densifies one block's n-row slices (duplicate pairs add up), runs all
+    ``t`` iterations and finishes ``F'`` (column normalization is local to
+    a column); ``node_block`` row-normalizes a node block's ``Pb`` into
+    ``B'``. The result is one state, a row per node block holding
+    ``(F'ᵢ, B'ᵢ)``, covering every node ``0..n-1``.
     """
-    w_r = weight / np.bincount(node, weight, minlength=n)[node]
-    w_c = weight / np.bincount(attr, weight, minlength=d)[attr]
+    w_r, w_c = attr_weights(n, d, node, attr, weight)
     nc = min(nb, d)
     # Column block c holds attributes [lo[c], lo[c+1]); attr a is in block a·nc // d.
     lo = [-(-c * d // nc) for c in range(nc + 1)]
@@ -135,44 +146,22 @@ def papmi_from_states(
     slices = [
         (node[s], attr[s] - lo[c], w_r[s], w_c[s]) for c, s in enumerate(in_block)
     ]
-    shared = spark.sparkContext.broadcast((src, dst, walk_weights(n, src), slices))
     blocks = node_blocks(n, nb)
 
-    def column_block(batches):
-        src, dst, w, slices = shared.value
-        for pdf in batches:
-            for c in pdf["id"]:
-                rows, cols, wr, wc = slices[c]
-                rr, rc = np.zeros((2, n, lo[c + 1] - lo[c]))
-                np.add.at(rr, (rows, cols), wr)
-                np.add.at(rc, (rows, cols), wc)
-                pf, pb = propagate(src, dst, w, rr, rc, alpha, t)
-                f = np.log2(n * normalize_cols(pf) + 1)
-                yield pd.DataFrame(
-                    {
-                        "block": np.arange(len(blocks), dtype=np.int32),
-                        "cblk": np.int32(c),
-                        "f": [f[ids].ravel() for ids in blocks],
-                        "pb": [pb[ids].ravel() for ids in blocks],
-                    }
-                )
+    def column_block(c):
+        rows, cols, wr, wc = slices[c]
+        rr, rc = np.zeros((2, n, lo[c + 1] - lo[c]))
+        np.add.at(rr, (rows, cols), wr)
+        np.add.at(rc, (rows, cols), wc)
+        pf, pb = propagate(src, dst, walk_weights(n, src), rr, rc, alpha, t)
+        f = np.log2(n * normalize_cols(pf) + 1)
+        return [(f[ids], pb[ids]) for ids in blocks]
 
-    def node_block(ids, rows):
-        rows = rows.sort_values("cblk")
-        f = np.hstack([s.reshape(len(ids), -1) for s in rows["f"]])
-        pb = np.hstack([s.reshape(len(ids), -1) for s in rows["pb"]])
-        return np.stack([f, np.log2(d * normalize_rows(pb) + 1)])
+    def node_block(ids, parts):
+        f, pb = (np.hstack(side) for side in zip(*parts))
+        return f, np.log2(d * normalize_rows(pb) + 1)
 
-    # spark.range pins one column block to each task. pin_blocks samples
-    # its input in a job of its own, so the column stage is checkpointed
-    # first and runs once.
-    cols = (
-        spark.range(nc, numPartitions=nc)
-        .mapInPandas(column_block, "block int, cblk int, f array<double>, pb array<double>")
-        .localCheckpoint(eager=True)
-    )
-    state = pin_blocks(cols, n, nb, node_block)
-    shared.unpersist()
+    state = pin_blocks(spark, n, nb, range(nc), column_block, node_block)
     # One state, returned twice: panebench/run.py unpacks the pair into affinities_spark_to_numpy.
     return state, state
 

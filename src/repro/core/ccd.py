@@ -172,16 +172,14 @@ def psvdccd_spark(
     ``moments``. The driver sums them into ``(G, C)`` in block order and
     replays the exact Y-phase (Lines 11-16).
     """
-    d, k2 = y.shape
     for _ in range(t):
 
         def ccd_block(blk, m, x, y=y):
-            x = np.stack(x_phase(*m, *x, y))
-            return x, np.concatenate([a.ravel() for a in moments(*m, *x)])
+            x = x_phase(*m, *x, y)
+            return x, moments(*m, *x)
 
         state, parts = map_blocks(state, ccd_block)
-        gc = np.sum(parts, axis=0)
-        g, c = gc[: k2 * k2].reshape(k2, k2), gc[k2 * k2 :].reshape(k2, d)
+        g, c = (sum(side) for side in zip(*parts))
         y = y_phase_from_moments(y, g, c)
     return state, y
 

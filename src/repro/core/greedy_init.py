@@ -45,29 +45,26 @@ def sm_greedy_init_spark(
     """Algorithm 7 (SMGreedyInit): returns the CCD state and ``Y``.
 
     The returned state is PAPMI's, with each block's ``x`` set to
-    ``[Xfᵢ; Xbᵢ]``; ``Y`` lives on the driver (it is d×k/2 and is shipped
+    ``(Xfᵢ, Xbᵢ)``; ``Y`` lives on the driver (it is d×k/2 and is shipped
     into every CCD pass). Both stages are passes of ``map_blocks``.
     """
 
     # -- Split phase: one RandSVD of F'ᵢ per node block (Alg. 7 Lines 1-3).
-    # The block's UᵢΣᵢ stays in its x, as [UᵢΣᵢ; 0] until assembled; only
-    # Vᵢ goes to the driver, since the merge input [V1 … Vnb]^T is small by
-    # construction.
+    # The block's UᵢΣᵢ stays in its x until assembled; only Vᵢ goes to the
+    # driver, since the merge input [V1 … Vnb]^T is small by construction.
     def split(blk, m, x):
         u, s, v = rand_svd(m[0], k2, t, seed=seed + 17 * int(blk))
-        us = u @ s
-        return np.stack([us, np.zeros_like(us)]), v.T
+        return u @ s, v.T
 
     state, v_parts = map_blocks(state, split)
 
     # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
-    v_stack = np.vstack([np.reshape(v, (k2, d)) for v in v_parts])
-    phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
+    phi, sig, y = rand_svd(np.vstack(v_parts), k2, t, seed=seed + 1009)
     w = np.split(phi @ sig, len(v_parts))  # block i's Wᵢ: its k2 rows of ΦΣ
 
     # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
     def assemble(blk, m, x):
-        return np.stack([x[0] @ w[blk], m[1] @ y]), np.empty(0)
+        return (x @ w[blk], m[1] @ y), None
 
     state, _ = map_blocks(state, assemble)
     return state, y

@@ -66,8 +66,9 @@ def check_inputs(
     alpha: float,
     eps: float,
     nb: int = 1,
-) -> None:
-    """Raise ``ValueError`` on input that either pipeline would mis-handle."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raise ``ValueError`` on input that either pipeline would mis-handle, else
+    return ``(src, dst, node, attr, weight)`` as int64 ids and float64 weights."""
     if not isinstance(n, numbers.Integral) or not isinstance(d, numbers.Integral):
         raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}")
     for name, arr in (("src", src), ("dst", dst), ("node", node), ("attr", attr), ("weight", weight)):
@@ -98,6 +99,8 @@ def check_inputs(
         raise ValueError(f"nb must be >= 1, got {nb}")
     if not (0 < alpha < 1 and 0 < eps < 1):
         raise ValueError(f"need 0 < alpha < 1 and 0 < eps < 1, got alpha={alpha}, eps={eps}")
+    ids = (np.asarray(a, dtype=np.int64) for a in (src, dst, node, attr))
+    return (*ids, np.asarray(weight, dtype=np.float64))
 
 
 def pane_numpy(
@@ -114,9 +117,9 @@ def pane_numpy(
     seed: int = 0,
 ) -> PaneEmbedding:
     """Algorithm 1: APMI → GreedyInit → SVDCCD, all in NumPy."""
-    check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps)
+    coo = check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps)
     t = num_iterations(eps, alpha)
-    f, b = apmi_numpy(n, d, src, dst, node, attr, weight, alpha, t)
+    f, b = apmi_numpy(n, d, *coo, alpha, t)
     xf, xb, y = greedy_init_numpy(f, b, k // 2, t, seed)
     xf, xb, y = svdccd_numpy(f, b, xf, xb, y, t)
     return PaneEmbedding(xf, xb, y)
@@ -146,10 +149,10 @@ def pane_spark(
     collected to NumPy (n×k/2 each — the same driver-resident output the
     paper writes to disk).
     """
-    check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps, nb)
+    coo = check_inputs(n, d, src, dst, node, attr, weight, k, alpha, eps, nb)
     t = num_iterations(eps, alpha)
     k2 = k // 2
-    state, _ = papmi_from_states(spark, n, d, src, dst, node, attr, weight, alpha, t, nb)
+    state, _ = papmi_from_states(spark, n, d, *coo, alpha, t, nb)
     state, y = sm_greedy_init_spark(state, d, k2, t, seed)
     state, y = psvdccd_spark(state, y, t)
     xf, xb = collect_embeddings(state, n, k2)

@@ -6,9 +6,10 @@
   kernels both pipelines share).
 * **Dense node-indexed matrices** (the affinities ``F'/B'`` and the
   embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):
-  one row per node block holding both sides of the block's flattened
-  rows, so each of the paper's ``nb`` threads maps to one row and one task.
-  ``pin_blocks`` builds a state and ``map_blocks`` runs a pass over it.
+  one row per node block holding both sides of the block's rows as NumPy
+  values, so each of the paper's ``nb`` threads maps to one row and one task.
+  ``matrix`` alone runs Spark stages: ``pin_blocks`` builds a state and
+  ``map_blocks`` runs a pass over it, each from plain NumPy functions.
 * ``randsvd``: the randomized SVD of GreedyInit/SMGreedyInit.
 """
 from repro.linalg.coo import (  # noqa: F401

@@ -1,29 +1,33 @@
-"""The Spark state of the parallel pipeline (Alg. 5-8), and the two passes over it.
+"""The Spark state of the parallel pipeline (Alg. 5-8), and the passes over it.
 
 Node block ``i`` of ``nb`` holds the nodes ``i, i+nb, i+2nb, …`` in
 increasing order — the paper's equal split of V into ``nb`` subsets
 (Algorithm 5, Line 1). A *state* DataFrame has one row per node block,
 and the row holds both sides of it, as the paper's thread ``i`` owns
 both ``Xf[Vᵢ]`` and ``Xb[Vᵢ]``: the block's node ids, its affinity rows
-``m = [F'ᵢ; B'ᵢ]`` and its embedding rows ``x = [Xfᵢ; Xbᵢ]``, each a
-flattened row-major ``(2, |Vᵢ|, width)`` array (``x`` is empty until
-SMGreedyInit fills it).
+``m`` (``F'ᵢ`` and ``B'ᵢ``) and its embedding rows ``x`` (``None`` until
+SMGreedyInit fills it), each cell one pickled NumPy value: an array of
+any shape, a tuple or ``None``.
 
-This module is the only one that knows the state's schema, placement and
-checkpoint policy. ``pin_blocks`` builds a state, each node block in its
-own partition; ``map_blocks`` runs one NumPy step on every block's rows,
-a narrow map, so no row moves between tasks from there to the final
-collect (``state_to_numpy``).
+This module is the only one that runs a Spark stage or knows the
+state's schema, cell format, placement and checkpoint policy; the
+algorithm modules hand it plain NumPy functions. ``pin_blocks`` builds
+a state, each node block in its own partition; ``map_blocks`` runs one
+NumPy step on every block, a narrow map, so no row moves between tasks
+from there to the final collect (``state_to_numpy``).
 """
 from __future__ import annotations
 
-from typing import Callable
+import functools
+import pickle
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 
-STATE_SCHEMA = "block int, node array<long>, m array<double>, x array<double>"
+STATE_SCHEMA = "block int, node array<long>, m binary, x binary"
+_pack = functools.partial(pickle.dumps, protocol=5)  # a cell holds one pickled value
 
 
 def node_blocks(n: int, nb: int) -> list[np.ndarray]:
@@ -31,23 +35,26 @@ def node_blocks(n: int, nb: int) -> list[np.ndarray]:
     return [np.arange(blk, n, nb) for blk in range(min(nb, n))]
 
 
-def rows_of(pdf: pd.DataFrame, col: str) -> list[np.ndarray]:
-    """The ``(2, |Vᵢ|, width)`` arrays of column ``col`` in a batch of state rows."""
-    return [np.reshape(v, (2, len(ids), -1)) for ids, v in zip(pdf["node"], pdf[col])]
-
-
 def pin_blocks(
-    df: DataFrame, n: int, nb: int, fn: Callable[[np.ndarray, pd.DataFrame], np.ndarray]
+    spark: SparkSession, n: int, nb: int, tasks: Sequence, scatter: Callable, gather: Callable
 ) -> DataFrame:
-    """The state whose block ``i`` has ``m = fn(ids, rows)``, ``x`` empty.
+    """The state whose block ``i`` has ``m = gather(ids, parts)``, ``x = None``.
 
-    ``df`` is range-partitioned on its ``block`` column into one partition
-    per node block of ``node_blocks(n, nb)``; ``ids`` are the block's node
-    ids and ``rows`` its rows of ``df``. The range partitioner samples its
-    input in a job of its own, so an input that is costly to compute is
-    checkpointed first. The state is checkpointed eagerly.
+    One task per element of ``tasks``, each in its own partition, calls
+    ``scatter(task)`` for one value per node block of ``node_blocks(n,
+    nb)``. One transpose then lands each node block in its own partition,
+    and ``gather`` gets its node ids and its value from every task, in
+    task order. The transpose's range partitioner samples its input in a
+    job of its own, so the scattered values are checkpointed first; the
+    state is checkpointed eagerly.
     """
     blocks = node_blocks(n, nb)
+
+    def scatter_tasks(batches):
+        for pdf in batches:
+            for i in pdf["id"]:
+                parts = [_pack(p) for p in scatter(tasks[i])]
+                yield pd.DataFrame({"block": range(len(blocks)), "task": i, "part": parts})
 
     def pin(batches):
         pdfs = list(batches)
@@ -55,46 +62,44 @@ def pin_blocks(
             return
         for blk, rows in pd.concat(pdfs).groupby("block"):  # one block, once pinned
             ids = blocks[blk]
-            m = fn(ids, rows)
-            yield pd.DataFrame(
-                {"block": np.int32([blk]), "node": [ids], "m": [m.ravel()], "x": [np.empty(0)]}
-            )
+            parts = [pickle.loads(p) for p in rows.sort_values("task")["part"]]
+            m = _pack(gather(ids, parts))
+            yield pd.DataFrame({"block": [blk], "node": [ids], "m": [m], "x": [_pack(None)]})
 
+    parts = (
+        spark.range(len(tasks), numPartitions=len(tasks))
+        .mapInPandas(scatter_tasks, "block int, task int, part binary")
+        .localCheckpoint(eager=True)
+    )
     return (
-        df.repartitionByRange(len(blocks), "block")
+        parts.repartitionByRange(len(blocks), "block")
         .mapInPandas(pin, STATE_SCHEMA)
         .localCheckpoint(eager=True)
     )
 
 
 def map_blocks(
-    state: DataFrame,
-    fn: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> tuple[DataFrame, list[np.ndarray]]:
+    state: DataFrame, fn: Callable[[int, Any, Any], tuple[Any, Any]]
+) -> tuple[DataFrame, list]:
     """One narrow pass: ``x, out = fn(blk, m, x)`` on each node block.
 
-    ``m`` and ``x`` are the block's ``(2, |Vᵢ|, width)`` arrays (``x`` is
-    ``(2, |Vᵢ|, 0)`` while empty); ``fn`` returns the new ``x`` in that
-    layout and a small result ``out`` for the driver. Returns the new
-    state and the flattened ``out`` of every block, in block order. The
-    pass's lazy checkpoint is filled by the job that collects ``out``, so
-    the pass runs once, in one job.
+    ``m`` and ``x`` are the block's values as stored; ``fn`` returns the
+    new ``x`` and a small result ``out`` for the driver. Returns the new
+    state and the ``out`` of every block, in block order. The pass's lazy
+    checkpoint is filled by the job that collects ``out``, so the pass
+    runs once, in one job.
     """
 
     def run(batches):
         for pdf in batches:
-            res = [
-                fn(blk, m, x)
-                for blk, m, x in zip(pdf["block"], rows_of(pdf, "m"), rows_of(pdf, "x"))
-            ]
-            yield pdf.assign(
-                x=[x.ravel() for x, _ in res], out=[np.ravel(out) for _, out in res]
-            )
+            cells = zip(pdf["block"], pdf["m"], pdf["x"])
+            res = [fn(blk, pickle.loads(m), pickle.loads(x)) for blk, m, x in cells]
+            yield pdf.assign(x=[_pack(x) for x, _ in res], out=[_pack(out) for _, out in res])
 
-    stage = state.mapInPandas(run, STATE_SCHEMA + ", out array<double>")
+    stage = state.mapInPandas(run, STATE_SCHEMA + ", out binary")
     stage = stage.localCheckpoint(eager=False)
     outs = sorted(stage.select("block", "out").collect())
-    return stage.drop("out"), [np.asarray(out) for _, out in outs]
+    return stage.drop("out"), [pickle.loads(out) for _, out in outs]
 
 
 def state_to_numpy(state: DataFrame, n: int, width: int, col: str = "m") -> np.ndarray:
@@ -104,6 +109,6 @@ def state_to_numpy(state: DataFrame, n: int, width: int, col: str = "m") -> np.n
     """
     pdf = state.select("node", col).toPandas()
     out = np.zeros((2, n, width))
-    for ids, mat in zip(pdf["node"], rows_of(pdf, col)):
-        out[:, ids] = mat
+    for ids, cell in zip(pdf["node"], pdf[col]):
+        out[:, ids] = pickle.loads(cell)
     return out

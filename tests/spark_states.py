@@ -9,8 +9,14 @@ def pinned_state(spark, nb, f, b, xf=None, xb=None):
     """The state of ``(F', B')`` — and of ``(Xf, Xb)`` if given — in ``nb``
     node blocks, block ``i`` in partition ``i`` as PAPMI leaves it."""
     blocks = node_blocks(f.shape[0], nb)
-    df = spark.range(len(blocks)).select(F.col("id").cast("int").alias("block"))
-    state = pin_blocks(df, f.shape[0], nb, lambda ids, _: np.stack([f[ids], b[ids]]))
+    state = pin_blocks(
+        spark,
+        f.shape[0],
+        nb,
+        [None],
+        lambda _: [np.stack([f[ids], b[ids]]) for ids in blocks],
+        lambda ids, parts: parts[0],
+    )
     if xf is not None:
         state, _ = map_blocks(
             state,

@@ -1,8 +1,9 @@
 """Tests for the linear-algebra substrate (system #1).
 
-The state layout (one row per node block) is round-tripped on Spark,
-and ``map_blocks`` is checked for its contract: one job per pass, block
-order, and no change to rows it does not write. The COO kernels both
+The state layout (one row per node block) is round-tripped on Spark;
+``pin_blocks`` is checked to hand each block its parts in task order, and
+``map_blocks`` for its contract: one job per pass, block order, cells of
+any shape read back as stored, and no change to rows it does not write. The COO kernels both
 pipelines share (walk weights, jagged-diagonal SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
 SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
@@ -23,6 +24,7 @@ from repro.linalg import (
     node_blocks,
     normalize_cols,
     normalize_rows,
+    pin_blocks,
     state_to_numpy,
     walk_weights,
 )
@@ -101,6 +103,32 @@ class TestMapBlocks:
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
         xf, _ = state_to_numpy(st, 10, 1, "x")
         assert xf[:, 0].tolist() == [i % 4 for i in range(10)]  # the pass's x, kept
+
+
+class TestPinBlocks:
+    @pytest.mark.parametrize("nb", [3, 4])
+    def test_gather_gets_parts_in_task_order(self, spark, nb):
+        """Each task's part lands as one column, in task order, not value order."""
+        n = 10
+        blocks = node_blocks(n, nb)
+        st = pin_blocks(
+            spark, n, nb, [5, 2, 7],
+            lambda task: [np.full((2, len(ids), 1), float(task)) for ids in blocks],
+            lambda ids, parts: np.concatenate(parts, axis=2),
+        )
+        assert np.array_equal(state_to_numpy(st, n, 3), np.broadcast_to([5, 2, 7], (2, n, 3)))
+
+
+class TestCells:
+    def test_x_of_another_shape_read_back_unchanged(self, spark):
+        """A pass may store an (|Vᵢ|, 3) ``x``; the next pass reads it back as stored."""
+        rng = np.random.default_rng(3)
+        f, b = rng.standard_normal((2, 17, 5))
+        xs = [rng.standard_normal((len(ids), 3)) for ids in node_blocks(17, 3)]
+        st, _ = map_blocks(pinned_state(spark, 3, f, b), lambda blk, m, x: (xs[blk], None))
+        _, outs = map_blocks(st, lambda blk, m, x: (x, x))
+        assert len(outs) == 3
+        assert all(np.array_equal(out, x) for out, x in zip(outs, xs))
 
 
 class TestWalkEdges:

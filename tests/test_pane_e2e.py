@@ -252,6 +252,49 @@ class TestNoSilentNodeDrop:
         assert not (embedded(emb_np) & ~embedded(emb_sp)).any()
 
 
+class TestIdDtypes:
+    """Ids of any integer dtype give the int64 run's embeddings, bit for bit."""
+
+    N, D, NB = 80, 5000, 8
+
+    @pytest.fixture(scope="class")
+    def inp(self):
+        rng = np.random.default_rng(12)
+        n, d = self.N, self.D
+        return dict(
+            n=n, d=d, src=rng.integers(0, n, 400), dst=rng.integers(0, n, 400),
+            node=rng.integers(0, n, 600), attr=rng.integers(0, d, 600),
+            weight=1.0 + rng.random(600),
+        )
+
+    @pytest.fixture(scope="class")
+    def run(self, spark):
+        def run(driver, inp):
+            if driver == "numpy":
+                return pane_numpy(**inp, k=8, seed=0)
+            return pane_spark(spark, **inp, k=8, nb=self.NB, seed=0)
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def reference(self, run, inp):
+        return {driver: run(driver, inp) for driver in ("numpy", "spark")}
+
+    @pytest.mark.parametrize("driver", ["numpy", "spark"])
+    @pytest.mark.parametrize(
+        "name,dtype",
+        [("attr", np.int16), ("src", np.uint64), ("node", np.uint64)],
+        ids=["int16-attr", "uint64-src", "uint64-node"],
+    )
+    def test_same_embeddings_as_int64(self, run, inp, reference, driver, name, dtype):
+        """An int16 attr id times the column-block count overflows int16."""
+        got = run(driver, {**inp, name: inp[name].astype(dtype)})
+        want = reference[driver]
+        assert np.array_equal(got.xf, want.xf)
+        assert np.array_equal(got.xb, want.xb)
+        assert np.array_equal(got.y, want.y)
+
+
 def _valid_input():
     return dict(
         n=4,

@@ -1,6 +1,8 @@
 """Lemma 4.1: PAPMI (Algorithm 6) returns the same F', B' as APMI (Alg. 2)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.affinity import affinities_spark_to_numpy, apmi_numpy, papmi_from_states
 
@@ -21,17 +23,35 @@ def _instance(n=24, d=7, deg=3, seed=0):
     return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), node, attr, w
 
 
+def _bit_for_bit(d, nb):
+    """Whether PAPMI's column blocks give APMI's exact bits: one block, or all ≥2 wide.
+
+    NumPy sums the rows of a one-column block pairwise, but of a wider
+    block one row after another, as APMI sums its d columns.
+    """
+    nc = min(nb, d)
+    return nc == 1 or d >= 2 * nc
+
+
+def _assert_papmi_equals_apmi(f, b, f_ref, b_ref, bit_for_bit):
+    if bit_for_bit:
+        assert np.array_equal(f, f_ref) and np.array_equal(b, b_ref)
+    else:
+        assert np.abs(f - f_ref).max() < 1e-9
+        assert np.abs(b - b_ref).max() < 1e-9
+
+
 class TestLemma41:
     @pytest.mark.parametrize("nb", [1, 3, 8])
     def test_papmi_equals_apmi(self, spark, nb):
+        """Bit for bit at nb 1 and 3; at nb 8 every block is one column wide."""
         n, d = 24, 7
         src, dst, node, attr, w = _instance(n, d)
         alpha, t = 0.5, 5
         f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, alpha, t)
         fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, alpha, t, nb)
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
-        assert np.abs(f - f_ref).max() < 1e-9
-        assert np.abs(b - b_ref).max() < 1e-9
+        _assert_papmi_equals_apmi(f, b, f_ref, b_ref, _bit_for_bit(d, nb))
 
     @pytest.mark.parametrize("alpha,t", [(0.3, 3), (0.7, 8)])
     def test_parameter_variants(self, spark, alpha, t):
@@ -128,6 +148,46 @@ class TestDegenerateInputs:
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
+
+
+@st.composite
+def _degenerate_graphs(draw):
+    """A small weighted multigraph with every degenerate node kind, and an ``nb``.
+
+    Node ``n-3`` is source-only and attribute-less, ``n-2`` dangling,
+    ``n-1`` isolated and attribute-less; node 0 has a duplicated
+    self-loop, and the first association is repeated.
+    """
+    n = draw(st.integers(5, 14))
+    d = draw(st.integers(1, 9))
+    core = st.integers(0, n - 4)
+    edges = draw(st.lists(st.tuples(core, core), max_size=4 * n))
+    edges += [(0, 0), (0, 0), (n - 3, 1), (1, n - 2)]
+    assoc = draw(
+        st.lists(
+            st.tuples(core, st.integers(0, d - 1), st.floats(0.1, 10)),
+            min_size=1,
+            max_size=3 * n,
+        )
+    )
+    assoc += [assoc[0], (n - 2, d - 1, 1.0)]
+    src, dst = np.array(edges, dtype=np.int64).T
+    node, attr = np.array([a[:2] for a in assoc], dtype=np.int64).T
+    w = np.array([a[2] for a in assoc])
+    return n, d, src, dst, node, attr, w, draw(st.integers(1, n + 2))
+
+
+@given(_degenerate_graphs())
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_papmi_equals_apmi_on_any_graph(spark, case):
+    """Every node in exactly one state row, and F', B' equal to APMI's."""
+    n, d, src, dst, node, attr, w, nb = case
+    f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, 0.5, 4)
+    fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, 0.5, 4, nb)
+    ids = np.concatenate(fs.select("node").toPandas()["node"].to_list())
+    assert sorted(ids) == list(range(n))
+    f, b = affinities_spark_to_numpy(fs, bs, n, d)
+    _assert_papmi_equals_apmi(f, b, f_ref, b_ref, _bit_for_bit(d, nb))
 
 
 class TestJobCount:
