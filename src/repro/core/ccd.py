@@ -8,9 +8,10 @@ columns do not interact within the Y-phase (``Y[rj,·]`` touches only
 ``Sf[:,rj]``), so interchanging the loops to coordinate-major
 (``for l: all vi at once``) performs the same update sequence per
 row/column while vectorizing over the independent index. Tests assert
-agreement with the literal Algorithm-4 loop nest (``naive_svdccd_numpy``)
-to ``atol=1e-9``: the sums are associated differently, so the results
-agree up to rounding, not bit for bit.
+agreement with the literal Algorithm-4 loop nest
+(``tests/naive_ccd.naive_svdccd_numpy``) to ``atol=1e-9``: the sums are
+associated differently, so the results agree up to rounding, not bit
+for bit.
 
 Neither phase forms the n×d residual ``S = X·Yᵀ − M``. Each reads the
 residual's products through a moment identity (DESIGN.md, "CCD
@@ -116,48 +117,6 @@ def svdccd_numpy(
     for _ in range(t):
         xf, xb = x_phase(f, b, xf, xb, y)
         y = y_phase_from_moments(y, *moments(f, b, xf, xb))
-    return xf, xb, y
-
-
-def naive_svdccd_numpy(
-    f: np.ndarray,
-    b: np.ndarray,
-    xf: np.ndarray,
-    xb: np.ndarray,
-    y: np.ndarray,
-    t: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Literal transcription of Algorithm 4 (Lines 2-14), scalar loops.
-
-    Exists only as the ground-truth for equivalence tests — O(ndk·t)
-    with Python-level loops, usable on toy sizes.
-    """
-    xf, xb, y = xf.copy(), xb.copy(), y.copy()
-    n, d = f.shape
-    k2 = y.shape[1]
-    sf = xf @ y.T - f
-    sb = xb @ y.T - b
-    for _ in range(t):
-        for vi in range(n):
-            for l in range(k2):
-                denom = y[:, l] @ y[:, l]
-                if denom < _TINY:
-                    continue
-                muf = (sf[vi] @ y[:, l]) / denom  # Equation (16)
-                mub = (sb[vi] @ y[:, l]) / denom
-                xf[vi, l] -= muf  # Equation (13)
-                xb[vi, l] -= mub  # Equation (14)
-                sf[vi] -= muf * y[:, l]  # Equation (18)
-                sb[vi] -= mub * y[:, l]  # Equation (19)
-        for rj in range(d):
-            for l in range(k2):
-                denom = xf[:, l] @ xf[:, l] + xb[:, l] @ xb[:, l]
-                if denom < _TINY:
-                    continue
-                muy = (xf[:, l] @ sf[:, rj] + xb[:, l] @ sb[:, rj]) / denom  # (17)
-                y[rj, l] -= muy  # Equation (15)
-                sf[:, rj] -= muy * xf[:, l]  # Equation (20)
-                sb[:, rj] -= muy * xb[:, l]
     return xf, xb, y
 
 

@@ -40,7 +40,7 @@ def random_init_numpy(
 
 
 def sm_greedy_init_spark(
-    state: DataFrame, d: int, k2: int, t: int, seed: int = 0
+    state: DataFrame, k2: int, t: int, seed: int = 0
 ) -> tuple[DataFrame, np.ndarray]:
     """Algorithm 7 (SMGreedyInit): returns the CCD state and ``Y``.
 

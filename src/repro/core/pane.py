@@ -153,7 +153,7 @@ def pane_spark(
     t = num_iterations(eps, alpha)
     k2 = k // 2
     state, _ = papmi_from_states(spark, n, d, *coo, alpha, t, nb)
-    state, y = sm_greedy_init_spark(state, d, k2, t, seed)
+    state, y = sm_greedy_init_spark(state, k2, t, seed)
     state, y = psvdccd_spark(state, y, t)
     xf, xb = collect_embeddings(state, n, k2)
     return PaneEmbedding(xf, xb, y)

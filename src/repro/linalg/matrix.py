@@ -14,12 +14,16 @@ state's schema, cell format, placement and checkpoint policy; the
 algorithm modules hand it plain NumPy functions. ``pin_blocks`` builds
 a state, each node block in its own partition; ``map_blocks`` runs one
 NumPy step on every block, a narrow map, so no row moves between tasks
-from there to the final collect (``state_to_numpy``).
+from there to the final collect (``state_to_numpy``). Every Python UDF
+runs through ``_map``, which leaves its worker no cached zip importer
+(``evict_zip_importers``).
 """
 from __future__ import annotations
 
 import functools
 import pickle
+import sys
+import zipimport
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -35,6 +39,62 @@ def node_blocks(n: int, nb: int) -> list[np.ndarray]:
     return [np.arange(blk, n, nb) for blk in range(min(nb, n))]
 
 
+def spark_hash_int(value: int) -> int:
+    """Spark SQL's ``hash()`` of an ``int``: Murmur3_x86_32 ``hashInt``, seed 42."""
+
+    def mul(a, b):
+        return a * b & 0xFFFFFFFF
+
+    def rotl(x, r):
+        return (x << r | x >> (32 - r)) & 0xFFFFFFFF
+
+    k1 = mul(rotl(mul(value & 0xFFFFFFFF, 0xCC9E2D51), 15), 0x1B873593)
+    h1 = (rotl(42 ^ k1, 13) * 5 + 0xE6546B64) & 0xFFFFFFFF
+    h1 ^= 4  # the input's length in bytes
+    h1 = mul(h1 ^ h1 >> 16, 0x85EBCA6B)
+    h1 = mul(h1 ^ h1 >> 13, 0xC2B2AE35)
+    h1 ^= h1 >> 16
+    return h1 - (1 << 32) if h1 >> 31 else h1
+
+
+def placement_keys(nb: int) -> list[int]:
+    """Key ``i`` is the smallest int ``>= 0`` that Spark's hash partitioner
+    into ``nb`` partitions (``pmod(hash(key), nb)``) sends to partition ``i``."""
+    keys = {}
+    key = 0
+    while len(keys) < nb:
+        keys.setdefault(spark_hash_int(key) % nb, key)
+        key += 1
+    return [keys[i] for i in range(nb)]
+
+
+def evict_zip_importers() -> None:
+    """Drop every ``zipimporter`` from this process's ``sys.path_importer_cache``.
+
+    A PySpark worker calls ``importlib.invalidate_caches()`` before each
+    task, and Python 3.11 then has every cached ``zipimporter`` re-read
+    its archive's whole directory: a warm worker holds one per imported
+    subpackage of pyspark.zip (1328 entries), which costs 0.1-0.2 s per
+    task. The entries are a cache: the import system rebuilds one on
+    demand from zipimport's own directory cache, without reading the
+    archive again.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
+def _map(df: DataFrame, fn: Callable, schema: str) -> DataFrame:
+    """``df.mapInPandas(fn, schema)``; each task ends by evicting its
+    worker's zip importers, so the worker's next task starts cheaply."""
+
+    def run(batches):
+        yield from fn(batches)
+        evict_zip_importers()
+
+    return df.mapInPandas(run, schema)
+
+
 def pin_blocks(
     spark: SparkSession, n: int, nb: int, tasks: Sequence, scatter: Callable, gather: Callable
 ) -> DataFrame:
@@ -42,40 +102,37 @@ def pin_blocks(
 
     One task per element of ``tasks``, each in its own partition, calls
     ``scatter(task)`` for one value per node block of ``node_blocks(n,
-    nb)``. One transpose then lands each node block in its own partition,
-    and ``gather`` gets its node ids and its value from every task, in
-    task order. The transpose's range partitioner samples its input in a
-    job of its own, so the scattered values are checkpointed first; the
-    state is checkpointed eagerly.
+    nb)``. One hash shuffle then lands node block ``i`` alone in partition
+    ``i``: each value is keyed by its block's ``placement_keys``, and
+    ``gather`` gets the block's node ids and its value from every task,
+    in task order. The state is checkpointed eagerly, in two jobs: the
+    shuffle's map stage and the gather.
     """
     blocks = node_blocks(n, nb)
+    keys = placement_keys(len(blocks))
 
     def scatter_tasks(batches):
         for pdf in batches:
             for i in pdf["id"]:
                 parts = [_pack(p) for p in scatter(tasks[i])]
-                yield pd.DataFrame({"block": range(len(blocks)), "task": i, "part": parts})
+                yield pd.DataFrame(
+                    {"block": range(len(blocks)), "key": keys, "task": i, "part": parts}
+                )
 
     def pin(batches):
-        pdfs = list(batches)
-        if not pdfs:
-            return
-        for blk, rows in pd.concat(pdfs).groupby("block"):  # one block, once pinned
+        for blk, rows in pd.concat(list(batches)).groupby("block"):  # one block, once pinned
             ids = blocks[blk]
             parts = [pickle.loads(p) for p in rows.sort_values("task")["part"]]
             m = _pack(gather(ids, parts))
             yield pd.DataFrame({"block": [blk], "node": [ids], "m": [m], "x": [_pack(None)]})
 
-    parts = (
-        spark.range(len(tasks), numPartitions=len(tasks))
-        .mapInPandas(scatter_tasks, "block int, task int, part binary")
-        .localCheckpoint(eager=True)
+    parts = _map(
+        spark.range(len(tasks), numPartitions=len(tasks)),
+        scatter_tasks,
+        "block int, key int, task int, part binary",
     )
-    return (
-        parts.repartitionByRange(len(blocks), "block")
-        .mapInPandas(pin, STATE_SCHEMA)
-        .localCheckpoint(eager=True)
-    )
+    state = _map(parts.repartition(len(blocks), "key"), pin, STATE_SCHEMA)
+    return state.localCheckpoint(eager=True)
 
 
 def map_blocks(
@@ -96,7 +153,7 @@ def map_blocks(
             res = [fn(blk, pickle.loads(m), pickle.loads(x)) for blk, m, x in cells]
             yield pdf.assign(x=[_pack(x) for x, _ in res], out=[_pack(out) for _, out in res])
 
-    stage = state.mapInPandas(run, STATE_SCHEMA + ", out binary")
+    stage = _map(state, run, STATE_SCHEMA + ", out binary")
     stage = stage.localCheckpoint(eager=False)
     outs = sorted(stage.select("block", "out").collect())
     return stage.drop("out"), [pickle.loads(out) for _, out in outs]

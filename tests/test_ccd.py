@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.ccd import (
     collect_embeddings,
-    naive_svdccd_numpy,
     objective,
     psvdccd_spark,
     svdccd_numpy,
@@ -14,6 +13,7 @@ from repro.core.ccd import (
     y_phase_from_moments,
 )
 from repro.core.greedy_init import greedy_init_numpy, random_init_numpy
+from tests.naive_ccd import naive_svdccd_numpy
 from tests.spark_states import pinned_state
 
 

@@ -83,7 +83,7 @@ class TestSMGreedyInitSpark:
         f, b = _affinities()
         k2 = 4
         state, y = sm_greedy_init_spark(
-            pinned_state(spark, nb, f, b), d, k2, t=6, seed=0
+            pinned_state(spark, nb, f, b), k2, t=6, seed=0
         )
         assert np.allclose(y.T @ y, np.eye(k2), atol=1e-8)
         xf, xb = state_to_numpy(state, n, k2, "x")
@@ -104,7 +104,7 @@ class TestSMGreedyInitSpark:
         f, b = _affinities(seed=7)
         k2 = 4
         state, y = sm_greedy_init_spark(
-            pinned_state(spark, 1, f, b), d, k2, t=6, seed=0
+            pinned_state(spark, 1, f, b), k2, t=6, seed=0
         )
         xf, xb = state_to_numpy(state, n, k2, "x")
         obj_sm = objective(f, b, xf, xb, y)
@@ -119,7 +119,7 @@ class TestSMGreedyInitSpark:
         f = rng.random((n, d))
         b = rng.random((n, d))
         state, y = sm_greedy_init_spark(
-            pinned_state(spark, 4, f, b), d, 4, t=3, seed=2
+            pinned_state(spark, 4, f, b), 4, t=3, seed=2
         )
         xf, _ = state_to_numpy(state, n, 4, "x")
         assert xf.shape == (n, 4) and np.all(np.abs(xf).sum(axis=1) > 0)

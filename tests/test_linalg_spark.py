@@ -1,15 +1,23 @@
 """Tests for the linear-algebra substrate (system #1).
 
 The state layout (one row per node block) is round-tripped on Spark;
-``pin_blocks`` is checked to hand each block its parts in task order, and
-``map_blocks`` for its contract: one job per pass, block order, cells of
-any shape read back as stored, and no change to rows it does not write. The COO kernels both
+``pin_blocks`` is checked to hand each block its parts in task order and
+to land block ``i`` alone in partition ``i`` (its Murmur3 keys are
+checked against Spark's ``hash()``), and ``map_blocks`` for its
+contract: one job per pass, block order, cells of any shape read back
+as stored, no change to rows it does not write, and no zip importer left
+cached in a worker between passes. The COO kernels both
 pipelines share (walk weights, jagged-diagonal SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
 SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
 wrong gather or aggregation is caught as a wrong *result*.
 """
+import importlib
+import os
+import sys
 import tracemalloc
+import zipfile
+import zipimport
 
 import numpy as np
 import pandas as pd
@@ -28,6 +36,7 @@ from repro.linalg import (
     state_to_numpy,
     walk_weights,
 )
+from repro.linalg.matrix import evict_zip_importers, spark_hash_int
 from repro.oracle import assert_equivalent
 from tests.spark_states import pinned_state
 
@@ -117,6 +126,61 @@ class TestPinBlocks:
             lambda ids, parts: np.concatenate(parts, axis=2),
         )
         assert np.array_equal(state_to_numpy(st, n, 3), np.broadcast_to([5, 2, 7], (2, n, 3)))
+
+
+class TestPlacement:
+    def test_hash_int_equals_spark_hash(self, spark):
+        values = [*range(-500, 500), -(2**31), 2**31 - 1]
+        df = spark.createDataFrame([(v,) for v in values], "v int")
+        rows = df.select("v", F.hash("v")).collect()
+        assert [spark_hash_int(v) for v, _ in rows] == [h for _, h in rows]
+
+    @pytest.mark.parametrize("n,nb", [(10, nb) for nb in range(1, 10)] + [(5, 8)])
+    def test_block_i_alone_in_partition_i(self, spark, n, nb):
+        mat = np.ones((n, 1))
+        st = pinned_state(spark, nb, mat, mat)
+        rows = st.select(F.spark_partition_id(), "block").collect()
+        assert sorted(rows) == [(i, i) for i in range(min(n, nb))]
+        assert st.rdd.getNumPartitions() == min(n, nb)
+
+
+def _has_zip_importer() -> bool:
+    return any(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
+
+
+class TestZipImporterEviction:
+    def test_import_from_zip_after_eviction(self, tmp_path, monkeypatch):
+        archive = tmp_path / "mods.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr("evict_probe_a.py", "VALUE = 1\n")
+            z.writestr("evict_probe_b.py", "VALUE = 2\n")
+        monkeypatch.syspath_prepend(str(archive))
+        try:
+            assert importlib.import_module("evict_probe_a").VALUE == 1
+            assert _has_zip_importer()
+            evict_zip_importers()
+            assert not _has_zip_importer()
+            assert importlib.import_module("evict_probe_b").VALUE == 2
+        finally:
+            for name in ("evict_probe_a", "evict_probe_b"):
+                sys.modules.pop(name, None)
+
+    def test_warm_worker_starts_a_pass_with_no_zip_importer(self, spark):
+        """A worker that ran a block of the first pass holds no zip importer
+        when it runs a block of the second; only such workers are compared,
+        since a freshly forked worker inherits its daemon's importers."""
+
+        def probe(blk, m, x):  # nested, so it ships by value and imports nothing
+            cached = any(
+                isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values()
+            )
+            return x, (os.getpid(), cached)
+
+        mat = np.ones((12, 2))
+        st, first = map_blocks(pinned_state(spark, 4, mat, mat), probe)
+        _, second = map_blocks(st, probe)
+        warm = [cached for pid, cached in second if pid in dict(first)]
+        assert warm and not any(warm)
 
 
 class TestCells:

@@ -167,7 +167,7 @@ class TestBlockPlacement:
         t = num_iterations(0.015, 0.5)
         inp = (g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight)
         papmi_state, _ = papmi_from_states(spark, *inp, 0.5, t, nb)
-        state, y = sm_greedy_init_spark(papmi_state, g.d, 4, t, seed=0)
+        state, y = sm_greedy_init_spark(papmi_state, 4, t, seed=0)
         ccd_state, _ = psvdccd_spark(state, y, 2)
         for st in (papmi_state, state, ccd_state):
             parts = partition_blocks(st)
@@ -179,8 +179,8 @@ class TestBlockPlacement:
 
 class TestJobBudget:
     def test_jobs_per_run(self, spark):
-        """nb=3: PAPMI 4, SMGreedyInit 2, PSVDCCD one per CCD iteration,
-        collect 1 — 13 jobs at the default ϵ (t=6), 10 at t=3."""
+        """nb=3: PAPMI 2, SMGreedyInit 2, PSVDCCD one per CCD iteration,
+        collect 1 — 11 jobs at the default ϵ (t=6), 8 at t=3."""
         rng = np.random.default_rng(4)
         n, d = 24, 7
         args = (
@@ -197,7 +197,7 @@ class TestJobBudget:
             finally:
                 sc.setLocalProperty("spark.jobGroup.id", None)
             jobs[num_iterations(eps, 0.5)] = len(sc.statusTracker().getJobIdsForGroup(group))
-        assert jobs == {6: 13, 3: 10}
+        assert jobs == {6: 11, 3: 8}
 
 
 class TestBetterThanRandomEmbeddings:
