@@ -14,6 +14,9 @@ import numpy as np
 from repro.baselines.common import NodeEmbedding, smoothed_attrs
 from repro.linalg.randsvd import rand_svd
 
+RIDGE = 0.1  # λ of the ridge solve for the attribute factor
+ITERS = 8  # alternating rounds
+
 
 def bane_lite(
     n: int,
@@ -24,20 +27,17 @@ def bane_lite(
     attr: np.ndarray,
     weight: np.ndarray,
     k: int = 32,
-    hops: int = 2,
-    lam: float = 0.1,
-    iters: int = 8,
     seed: int = 0,
 ) -> NodeEmbedding:
     """Binary-constrained ALS on the smoothed node-attribute matrix."""
-    kmat = smoothed_attrs(n, d, src, dst, node, attr, weight, hops=hops)
+    kmat = smoothed_attrs(n, d, src, dst, node, attr, weight)
     u, s, v = rand_svd(kmat, k, t=5, seed=seed)
     x = np.sign(u)
     x[x == 0] = 1.0
     y = v * np.diag(s)[None, :]  # (d, k) real-valued attribute factor
-    for _ in range(iters):
+    for _ in range(ITERS):
         # fix X: ridge solve for Y, then re-project X onto {−1,+1}.
-        y = np.linalg.solve(x.T @ x + lam * np.eye(x.shape[1]), x.T @ kmat).T
+        y = np.linalg.solve(x.T @ x + RIDGE * np.eye(x.shape[1]), x.T @ kmat).T
         x = np.sign(kmat @ y)
         x[x == 0] = 1.0
     return NodeEmbedding(x=x)

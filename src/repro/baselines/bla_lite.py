@@ -18,6 +18,9 @@ import numpy as np
 from repro.baselines.common import row_norm_attr, sym_norm_adj
 from repro.linalg.coo import coo_plan, coo_spmm
 
+DAMPING = 0.85  # λ: the share of each step's mass that comes from neighbours
+ITERS = 10
+
 
 @dataclass
 class BlaScores:
@@ -37,13 +40,11 @@ def bla_lite(
     node: np.ndarray,
     attr: np.ndarray,
     weight: np.ndarray,
-    damping: float = 0.85,
-    iters: int = 10,
 ) -> BlaScores:
     """``Z ← (1-λ)·R + λ·Â·Z`` to (near) fixpoint, seeded by observed R."""
     plan = coo_plan(*sym_norm_adj(n, src, dst))
     r = row_norm_attr(n, d, node, attr, weight)
     z = r.copy()
-    for _ in range(iters):
-        z = (1 - damping) * r + damping * coo_spmm(plan, z, n)
+    for _ in range(ITERS):
+        z = (1 - DAMPING) * r + DAMPING * coo_spmm(plan, z, n)
     return BlaScores(z=z)

@@ -16,32 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import smoothed_attrs
+from repro.baselines.common import NodeEmbedding, smoothed_attrs
 from repro.linalg.randsvd import rand_svd
 
 
 @dataclass
-class CanEmbedding:
+class CanEmbedding(NodeEmbedding):
     """Shared-space node and attribute embeddings."""
 
-    x: np.ndarray  # (n, k2) node embeddings
-    y: np.ndarray  # (d, k2) attribute embeddings
+    y: np.ndarray  # (d, k) attribute embeddings; ``x`` is (n, k)
 
     def attr_scores(self, nodes: np.ndarray, attrs: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", self.x[nodes], self.y[attrs])
-
-    def link_scores(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.x[src], self.x[dst])
-
-    def link_scores_cosine(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(self.x, axis=1)
-        norm = np.where(norm > 0, norm, 1.0)
-        xn = self.x / norm[:, None]
-        return np.einsum("ij,ij->i", xn[src], xn[dst])
-
-    def node_features(self) -> np.ndarray:
-        s = np.linalg.norm(self.x, axis=1, keepdims=True)
-        return np.divide(self.x, s, out=np.zeros_like(self.x), where=s > 0)
 
 
 def can_lite(
@@ -53,7 +39,6 @@ def can_lite(
     attr: np.ndarray,
     weight: np.ndarray,
     k: int = 32,
-    hops: int = 2,
     seed: int = 0,
 ) -> CanEmbedding:
     """Rank-k co-embedding of the hop-smoothed node-attribute matrix.
@@ -63,7 +48,7 @@ def can_lite(
     k across forward/backward vectors.
     """
     k2 = max(1, k)
-    kmat = smoothed_attrs(n, d, src, dst, node, attr, weight, hops=hops)
+    kmat = smoothed_attrs(n, d, src, dst, node, attr, weight)
     u, s, v = rand_svd(kmat, k2, t=5, seed=seed)
     sqrt_s = np.sqrt(np.diag(s))
     return CanEmbedding(x=u * sqrt_s[None, :], y=v * sqrt_s[None, :])

@@ -5,7 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.coo import coo_plan, coo_spmm, normalize_rows
+from repro.linalg.coo import coo_dense, coo_plan, coo_spmm, normalize_rows, normalize_rows_l2
+
+# Hops of attribute smoothing in the CAN/BANE-class baselines.
+SMOOTHING_HOPS = 2
 
 
 class MethodTooExpensive(Exception):
@@ -28,35 +31,35 @@ class NodeEmbedding:
         return np.einsum("ij,ij->i", self.x[src], self.x[dst])
 
     def link_scores_cosine(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(self.x, axis=1)
-        norm = np.where(norm > 0, norm, 1.0)
-        xn = self.x / norm[:, None]
+        xn = normalize_rows_l2(self.x)
         return np.einsum("ij,ij->i", xn[src], xn[dst])
 
     def node_features(self) -> np.ndarray:
-        s = np.linalg.norm(self.x, axis=1, keepdims=True)
-        return np.divide(self.x, s, out=np.zeros_like(self.x), where=s > 0)
+        return normalize_rows_l2(self.x)
 
 
-def sym_norm_adj(
-    n: int, src: np.ndarray, dst: np.ndarray, self_loops: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO of ``Â = D̃^{-1/2} (A_sym + I) D̃^{-1/2}`` (GCN-style smoothing).
+def undirected_edges(
+    n: int, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge in both directions, each pair once, ordered by ``(s, t)``.
 
-    Symmetrizes directed input first — the undirected baselines all
-    ignore edge direction, which is exactly the handicap the paper's
-    experiments expose.
+    The undirected baselines all ignore edge direction, which is exactly
+    the handicap the paper's experiments expose.
     """
     s = np.concatenate([src, dst])
     t = np.concatenate([dst, src])
-    eid = s * n + t
-    _, ix = np.unique(eid, return_index=True)
-    s, t = s[ix], t[ix]
-    if self_loops:
-        s = np.concatenate([s, np.arange(n, dtype=s.dtype)])
-        t = np.concatenate([t, np.arange(n, dtype=t.dtype)])
-    deg = np.zeros(n)
-    np.add.at(deg, s, 1.0)
+    _, ix = np.unique(s * n + t, return_index=True)
+    return s[ix], t[ix]
+
+
+def sym_norm_adj(
+    n: int, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO of ``Â = D̃^{-1/2} (A_sym + I) D̃^{-1/2}`` (GCN-style smoothing)."""
+    s, t = undirected_edges(n, src, dst)
+    s = np.concatenate([s, np.arange(n, dtype=s.dtype)])
+    t = np.concatenate([t, np.arange(n, dtype=t.dtype)])
+    deg = np.bincount(s, minlength=n).astype(np.float64)
     w = 1.0 / np.sqrt(deg[s] * deg[t])
     return s, t, w
 
@@ -65,9 +68,7 @@ def row_norm_attr(
     n: int, d: int, node: np.ndarray, attr: np.ndarray, weight: np.ndarray
 ) -> np.ndarray:
     """Dense row-normalized attribute matrix (each node's attr distribution)."""
-    r = np.zeros((n, d))
-    np.add.at(r, (node, attr), weight)
-    return normalize_rows(r)
+    return normalize_rows(coo_dense(n, d, node, attr, weight))
 
 
 def smoothed_attrs(
@@ -78,15 +79,14 @@ def smoothed_attrs(
     node: np.ndarray,
     attr: np.ndarray,
     weight: np.ndarray,
-    hops: int = 2,
 ) -> np.ndarray:
-    """``Â^hops · R_row`` — the graph-smoothed attribute matrix.
+    """``Â^SMOOTHING_HOPS · R_row`` — the graph-smoothed attribute matrix.
 
     The common core of the CAN/BANE-class baselines: attribute signal
     diffused a few hops over the (undirected, normalized) topology.
     """
     plan = coo_plan(*sym_norm_adj(n, src, dst))
     k = row_norm_attr(n, d, node, attr, weight)
-    for _ in range(hops):
+    for _ in range(SMOOTHING_HOPS):
         k = coo_spmm(plan, k, n)
     return k

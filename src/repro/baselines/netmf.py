@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import MethodTooExpensive, NodeEmbedding
+from repro.baselines.common import MethodTooExpensive, NodeEmbedding, undirected_edges
 from repro.linalg.randsvd import rand_svd
+
+MAX_NODES = 6000  # the largest n whose n×n proximity matrix is built
+WINDOW = 3  # T: walk lengths 1..T in the proximity sum
+NEG = 1.0  # b: SkipGram's negative samples per positive
 
 
 def netmf_lite(
@@ -23,22 +27,14 @@ def netmf_lite(
     src: np.ndarray,
     dst: np.ndarray,
     k: int = 32,
-    window: int = 3,
-    neg: float = 1.0,
-    max_nodes: int = 6000,
     seed: int = 0,
 ) -> NodeEmbedding:
     """Rank-k factorization of the truncated log-PMI proximity matrix."""
-    if n > max_nodes:
+    if n > MAX_NODES:
         raise MethodTooExpensive(
-            f"NetMF materializes an n×n proximity matrix; n={n} > cap {max_nodes}"
+            f"NetMF materializes an n×n proximity matrix; n={n} > cap {MAX_NODES}"
         )
-    # Symmetrize + dedup (SkipGram methods are undirected).
-    s = np.concatenate([src, dst])
-    t = np.concatenate([dst, src])
-    eid = s * n + t
-    _, ix = np.unique(eid, return_index=True)
-    s, t = s[ix], t[ix]
+    s, t = undirected_edges(n, src, dst)  # SkipGram methods are undirected
     a = np.zeros((n, n))
     a[s, t] = 1.0
     deg = a.sum(axis=1)
@@ -47,10 +43,10 @@ def netmf_lite(
     p = a * inv_deg[:, None]
     acc = np.zeros_like(p)
     cur = np.eye(n)
-    for _ in range(window):
+    for _ in range(WINDOW):
         cur = cur @ p
         acc += cur
-    m = (vol / (neg * window)) * acc * inv_deg[None, :]
+    m = (vol / (NEG * WINDOW)) * acc * inv_deg[None, :]
     logm = np.log(np.maximum(m, 1.0))  # log of the positive part (NetMF's max(·,1))
     u, sig, _ = rand_svd(logm, k, t=5, seed=seed)
     return NodeEmbedding(x=u * np.sqrt(np.diag(sig))[None, :])

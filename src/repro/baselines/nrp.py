@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.coo import CooPlan, coo_plan, coo_spmm, walk_weights
+from repro.linalg.coo import CooPlan, coo_plan, coo_spmm, normalize_rows_l2, walk_weights
+
+ALPHA = 0.15  # PPR stopping probability
+T = 10  # terms of the truncated PPR series
 
 
 @dataclass
@@ -30,11 +33,7 @@ class NrpEmbedding:
         return np.einsum("ij,ij->i", self.xf[src], self.xb[dst])
 
     def node_features(self) -> np.ndarray:
-        def norm(x: np.ndarray) -> np.ndarray:
-            s = np.linalg.norm(x, axis=1, keepdims=True)
-            return np.divide(x, s, out=np.zeros_like(x), where=s > 0)
-
-        return np.hstack([norm(self.xf), norm(self.xb)])
+        return np.hstack([normalize_rows_l2(self.xf), normalize_rows_l2(self.xb)])
 
 
 def nrp_lite(
@@ -42,8 +41,6 @@ def nrp_lite(
     src: np.ndarray,
     dst: np.ndarray,
     k: int = 32,
-    alpha: float = 0.15,
-    t: int = 10,
     seed: int = 0,
 ) -> NrpEmbedding:
     """Sketched rank-k/2 factorization of ``Π = α Σ (1-α)^ℓ P^ℓ``.
@@ -68,9 +65,9 @@ def nrp_lite(
         """
         acc = np.zeros_like(v)
         cur = v
-        for ell in range(1, t + 1):
+        for ell in range(1, T + 1):
             cur = coo_spmm(plan, cur, n)
-            acc += alpha * (1 - alpha) ** ell * cur
+            acc += ALPHA * (1 - ALPHA) ** ell * cur
         return acc
 
     omega = rng.standard_normal((n, q_dim))
@@ -88,10 +85,8 @@ def nrp_lite(
     # NRP's reweighting: per-node forward/backward weights fitted so the
     # reconstructed proximity's row/column sums match out-/in-degrees —
     # this is the step that stops hubs from dominating every score.
-    deg_out = np.zeros(n)
-    np.add.at(deg_out, src, 1.0)
-    deg_in = np.zeros(n)
-    np.add.at(deg_in, dst, 1.0)
+    deg_out = np.bincount(src, minlength=n).astype(np.float64)
+    deg_in = np.bincount(dst, minlength=n).astype(np.float64)
     wf = np.ones(n)
     wb = np.ones(n)
     lam = 1e-3

@@ -11,7 +11,7 @@ original uses). Solved by alternating closed-form ridge updates. The
 node embedding is the concatenation ``[W^T ‖ (HT)^T]``.
 
 ``M`` is Θ(n²) dense — exactly why TADW cannot scale; graphs beyond
-``max_nodes`` raise :class:`MethodTooExpensive`, reproducing the
+``MAX_NODES`` raise :class:`MethodTooExpensive`, reproducing the
 paper's "-" cells for the large datasets.
 """
 from __future__ import annotations
@@ -19,7 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import MethodTooExpensive, NodeEmbedding, row_norm_attr
+from repro.linalg.coo import coo_dense, walk_weights
 from repro.linalg.randsvd import rand_svd
+
+MAX_NODES = 6000  # the largest n whose n×n proximity matrix is built
+TEXT_DIM = 64  # f: text features per node
+RIDGE = 0.2  # λ
+ITERS = 10  # alternating rounds
 
 
 def tadw_lite(
@@ -31,27 +37,20 @@ def tadw_lite(
     attr: np.ndarray,
     weight: np.ndarray,
     k: int = 32,
-    text_dim: int = 64,
-    lam: float = 0.2,
-    iters: int = 10,
-    max_nodes: int = 6000,
     seed: int = 0,
 ) -> NodeEmbedding:
     """Alternating ridge solve of the TADW objective."""
-    if n > max_nodes:
+    if n > MAX_NODES:
         raise MethodTooExpensive(
-            f"TADW materializes an n×n proximity matrix; n={n} > cap {max_nodes}"
+            f"TADW materializes an n×n proximity matrix; n={n} > cap {MAX_NODES}"
         )
     k2 = max(1, k // 2)
     # M = (P + P^2) / 2 over the row-stochastic walk matrix.
-    p = np.zeros((n, n))
-    deg = np.zeros(n)
-    np.add.at(deg, src, 1.0)
-    np.add.at(p, (src, dst), 1.0 / np.maximum(deg[src], 1.0))
+    p = coo_dense(n, n, src, dst, walk_weights(n, src))
     m = (p + p @ p) / 2.0
 
     # Text features: top singular directions of the attribute matrix.
-    f = min(text_dim, d, n)
+    f = min(TEXT_DIM, d, n)
     r = row_norm_attr(n, d, node, attr, weight)
     u, s, _ = rand_svd(r, f, t=5, seed=seed)
     tmat = (u * np.diag(s)[None, :]).T  # (f, n)
@@ -61,12 +60,12 @@ def tadw_lite(
     h = rng.standard_normal((k2, f)) * 0.01
     eye_k = np.eye(k2)
     tt = tmat @ tmat.T  # (f, f)
-    for _ in range(iters):
+    for _ in range(ITERS):
         z = h @ tmat  # (k2, n)
-        w = np.linalg.solve(z @ z.T + lam * eye_k, z @ m.T)  # (k2, n)
-        lhs = w @ w.T + lam * eye_k
+        w = np.linalg.solve(z @ z.T + RIDGE * eye_k, z @ m.T)  # (k2, n)
+        lhs = w @ w.T + RIDGE * eye_k
         h = np.linalg.solve(lhs, w @ m @ tmat.T) @ np.linalg.inv(
-            tt + lam * np.eye(f)
+            tt + RIDGE * np.eye(f)
         )
     emb = np.hstack([w.T, (h @ tmat).T])  # (n, k)
     return NodeEmbedding(x=emb)

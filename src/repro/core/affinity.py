@@ -15,12 +15,14 @@ SPMI transform ``F' = log2(n·P̂f + 1)``, ``B' = log2(d·P̂b + 1)``
 walk semantics of Section 2.2; see DESIGN.md deviation #1 on the
 Equation (1) typo.
 
-Both normalize ``R`` by one formula (``attr_weights``) and run the
-recurrence through one NumPy kernel (``propagate``). PAPMI partitions
-the attribute set, as the paper does: the columns of ``Pf``/``Pb``
-propagate independently, so each of ``min(nb, d)`` column-block tasks
-runs all ``t`` iterations on its own slice, and each node block then
-row-normalizes its ``Pb`` rows; ``linalg.matrix.pin_blocks`` runs both.
+Both normalize ``R`` by one formula (``attr_weights``) and run two NumPy
+kernels: ``column_affinities`` (``F'`` and ``Pb`` on a set of attribute
+columns) and ``backward_affinities`` (``B'`` from whole rows of ``Pb``).
+APMI calls each once over all ``d`` columns. PAPMI partitions the
+attribute set, as the paper does: the columns of ``Pf``/``Pb`` propagate
+independently (Lemma 4.1), so each of ``min(nb, d)`` column-block tasks
+runs the first kernel on its own slice, and each node block then runs the
+second on its ``Pb`` rows; ``linalg.matrix.pin_blocks`` runs both.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.linalg import (
+    coo_dense,
     coo_plan,
     coo_spmm,
     node_blocks,
@@ -63,16 +66,6 @@ def attr_weights(
     )
 
 
-def normalize_attrs(
-    n: int, d: int, node: np.ndarray, attr: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ``(R_r, R_c)`` from COO associations (Equation 1, walk semantics)."""
-    rr, rc = np.zeros((n, d)), np.zeros((n, d))
-    for r, w in zip((rr, rc), attr_weights(n, d, node, attr, weight)):
-        np.add.at(r, (node, attr), w)
-    return rr, rc
-
-
 def propagate(
     src: np.ndarray,
     dst: np.ndarray,
@@ -96,6 +89,25 @@ def propagate(
     return pf, pb
 
 
+def column_affinities(
+    n: int, src: np.ndarray, dst: np.ndarray, node: np.ndarray, col: np.ndarray,
+    w_r: np.ndarray, w_c: np.ndarray, width: int, alpha: float, t: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(F', Pb)`` on ``width`` attribute columns, from their ``R_r``/``R_c`` weights.
+
+    ``(node, col)`` are the associations' cells; duplicate pairs add up.
+    Column normalization is local to a column, so ``F'`` is final.
+    """
+    rr, rc = coo_dense(n, width, node, col, w_r), coo_dense(n, width, node, col, w_c)
+    pf, pb = propagate(src, dst, walk_weights(n, src), rr, rc, alpha, t)
+    return np.log2(n * normalize_cols(pf) + 1), pb
+
+
+def backward_affinities(pb: np.ndarray, d: int) -> np.ndarray:
+    """``B' = log2(d·P̂b + 1)`` from whole rows of ``Pb`` over all ``d`` columns."""
+    return np.log2(d * normalize_rows(pb) + 1)
+
+
 def apmi_numpy(
     n: int,
     d: int,
@@ -108,9 +120,9 @@ def apmi_numpy(
     t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 2 (single-thread reference): returns ``(F', B')``."""
-    rr, rc = normalize_attrs(n, d, node, attr, weight)
-    pf, pb = propagate(src, dst, walk_weights(n, src), rr, rc, alpha, t)
-    return np.log2(n * normalize_cols(pf) + 1), np.log2(d * normalize_rows(pb) + 1)
+    w_r, w_c = attr_weights(n, d, node, attr, weight)
+    f, pb = column_affinities(n, src, dst, node, attr, w_r, w_c, d, alpha, t)
+    return f, backward_affinities(pb, d)
 
 
 def papmi_from_states(
@@ -131,12 +143,11 @@ def papmi_from_states(
     The driver normalizes ``R`` into ``R_r``/``R_c`` weights in O(nnz).
     ``P`` and ``R``, cut into ``min(nb, d)`` contiguous attribute-column
     blocks, ship in the tasks' closure, so both must fit in the driver's
-    and in one task's memory (DESIGN.md system #4). ``column_block``
-    densifies one block's n-row slices (duplicate pairs add up), runs all
-    ``t`` iterations and finishes ``F'`` (column normalization is local to
-    a column); ``node_block`` row-normalizes a node block's ``Pb`` into
-    ``B'``. The result is one state, a row per node block holding
-    ``(F'ᵢ, B'ᵢ)``, covering every node ``0..n-1``.
+    and in one task's memory (DESIGN.md system #4). ``column_block`` runs
+    ``column_affinities`` on one block's columns; ``node_block`` runs
+    ``backward_affinities`` on a node block's ``Pb`` rows. The result is
+    one state, a row per node block holding ``(F'ᵢ, B'ᵢ)``, covering every
+    node ``0..n-1``.
     """
     w_r, w_c = attr_weights(n, d, node, attr, weight)
     nc = min(nb, d)
@@ -149,17 +160,12 @@ def papmi_from_states(
     blocks = node_blocks(n, nb)
 
     def column_block(c):
-        rows, cols, wr, wc = slices[c]
-        rr, rc = np.zeros((2, n, lo[c + 1] - lo[c]))
-        np.add.at(rr, (rows, cols), wr)
-        np.add.at(rc, (rows, cols), wc)
-        pf, pb = propagate(src, dst, walk_weights(n, src), rr, rc, alpha, t)
-        f = np.log2(n * normalize_cols(pf) + 1)
+        f, pb = column_affinities(n, src, dst, *slices[c], lo[c + 1] - lo[c], alpha, t)
         return [(f[ids], pb[ids]) for ids in blocks]
 
     def node_block(ids, parts):
         f, pb = (np.hstack(side) for side in zip(*parts))
-        return f, np.log2(d * normalize_rows(pb) + 1)
+        return f, backward_affinities(pb, d)
 
     state = pin_blocks(spark, n, nb, range(nc), column_block, node_block)
     # One state, returned twice: panebench/run.py unpacks the pair into affinities_spark_to_numpy.

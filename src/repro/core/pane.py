@@ -18,6 +18,7 @@ from pyspark.sql import SparkSession
 from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
 from repro.core.ccd import collect_embeddings, psvdccd_spark, svdccd_numpy
 from repro.core.greedy_init import greedy_init_numpy, sm_greedy_init_spark
+from repro.linalg import normalize_rows_l2
 
 
 @dataclass
@@ -46,12 +47,7 @@ class PaneEmbedding:
 
     def node_features(self) -> np.ndarray:
         """Section 5.4's classifier input: L2-normalized [Xf ‖ Xb]."""
-
-        def norm(x: np.ndarray) -> np.ndarray:
-            s = np.linalg.norm(x, axis=1, keepdims=True)
-            return np.divide(x, s, out=np.zeros_like(x), where=s > 0)
-
-        return np.hstack([norm(self.xf), norm(self.xb)])
+        return np.hstack([normalize_rows_l2(self.xf), normalize_rows_l2(self.xb)])
 
 
 def check_inputs(

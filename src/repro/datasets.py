@@ -234,7 +234,7 @@ _PAPER_STATS = {
 
 # Generator parameters per dataset and profile. ``bench`` keeps the small
 # datasets near original node counts and scales the massive three down to
-# what a 16-core container sweeps in minutes; ``test`` shrinks everything.
+# what one box sweeps in minutes; ``test`` shrinks everything.
 _CONFIGS: dict[str, dict] = {
     "cora": dict(n=2708, d=200, m=5429, n_labels=7, avg_attrs=18, directed=True),
     "citeseer": dict(n=3312, d=260, m=4715, n_labels=6, avg_attrs=30, directed=True),

@@ -13,17 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import MethodTooExpensive
+from repro.eval.link_prediction import LINK_METHODS
 from repro.eval.methods import embed
 from repro.eval.metrics import micro_macro_f1
+
+L2 = 1e-3  # weight decay
+LR = 0.5  # gradient step
+ITERS = 300  # full-batch steps
 
 
 def train_logreg(
     x: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    l2: float = 1e-3,
-    lr: float = 0.5,
-    iters: int = 300,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multinomial logistic regression; returns ``(W, b)``.
@@ -37,15 +39,15 @@ def train_logreg(
     b = np.zeros(n_classes)
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
-    for _ in range(iters):
+    for _ in range(ITERS):
         logits = x @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        grad_w = x.T @ (p - onehot) / n + l2 * w
+        grad_w = x.T @ (p - onehot) / n + L2 * w
         grad_b = (p - onehot).mean(axis=0)
-        w -= lr * grad_w
-        b -= lr * grad_b
+        w -= LR * grad_w
+        b -= LR * grad_b
     return w, b
 
 
@@ -67,15 +69,7 @@ def classify(
     return micro_macro_f1(labels[te], pred, n_classes)
 
 
-CLASSIFICATION_METHODS = (
-    "NRP-lite",
-    "NetMF-lite (stand-in)",
-    "TADW",
-    "BANE-lite",
-    "CAN-lite",
-    "PANE (single thread)",
-    "PANE (parallel)",
-)
+CLASSIFICATION_METHODS = LINK_METHODS  # Figure 2 compares Table 5's methods
 
 
 def method_features(

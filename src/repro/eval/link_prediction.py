@@ -34,7 +34,7 @@ LINK_METHODS = (
 )
 
 
-def _directed_scores(emb, split: LinkSplit, directed: bool) -> np.ndarray:
+def directed_scores(emb, split: LinkSplit, directed: bool) -> np.ndarray:
     """Forward·backward scoring; symmetrized on undirected datasets."""
     s = emb.link_scores(split.test_src, split.test_dst)
     if not directed:
@@ -79,7 +79,7 @@ def run_link_prediction(
     if hasattr(model, "link_scores_cosine"):
         scores = _best_undirected_scores(model, split, split.test_label)
     else:
-        scores = _directed_scores(model, split, g.directed)
+        scores = directed_scores(model, split, g.directed)
     dt = time.perf_counter() - t0
     return TaskResult(
         method=method,

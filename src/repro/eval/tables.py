@@ -6,7 +6,7 @@ reports a value) so paper-vs-measured gaps read straight off the output.
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from pyspark.sql import SparkSession
 
@@ -17,11 +17,7 @@ from repro.eval.classification import (
     classification_curve,
     method_features,
 )
-from repro.eval.link_prediction import (
-    LINK_METHODS,
-    _directed_scores,
-    run_link_prediction,
-)
+from repro.eval.link_prediction import LINK_METHODS, directed_scores, run_link_prediction
 
 # ---------------------------------------------------------------- paper data
 
@@ -117,6 +113,48 @@ def _warm_up(spark: SparkSession, g: AttributedGraph, k: int, nb: int, seed: int
     )
 
 
+def _cells(
+    spark: SparkSession | None,
+    profile: str,
+    datasets: Iterable[str] | None,
+    methods: Iterable[str],
+    k: int,
+    nb: int,
+    seed: int,
+) -> Iterator[tuple[str, AttributedGraph, str]]:
+    """``(dataset, graph, method)`` for each cell a task table scores.
+
+    Warms up before the first cell when there is a session, and skips
+    PANE (parallel) when there is none.
+    """
+    for i, name in enumerate(datasets or ALL_DATASETS):
+        g = load(name, profile=profile)
+        if i == 0 and spark is not None:
+            _warm_up(spark, g, k, nb, seed)
+        for method in methods:
+            if method != "PANE (parallel)" or spark is not None:
+                yield name, g, method
+
+
+def _metric_rows(run, methods, paper_table, spark, profile, datasets, k, nb, seed) -> list[dict]:
+    """One AUC/AP row per cell; a ``None`` result (over a scale cap) is a "-" cell."""
+    rows = []
+    for name, g, method in _cells(spark, profile, datasets, methods, k, nb, seed):
+        r = run(g, method, spark=spark, k=k, nb=nb, seed=seed)
+        paper = paper_table.get(method, {}).get(name)
+        rows.append(
+            {
+                "dataset": name, "method": method,
+                "auc": r.auc if r else None,
+                "ap": r.ap if r else None,
+                "seconds": r.seconds if r else None,
+                "paper_auc": paper[0] if paper else None,
+                "paper_ap": paper[1] if paper else None,
+            }
+        )
+    return rows
+
+
 def table3_rows(profile: str = "bench") -> list[dict]:
     """Table 3: dataset statistics — stand-in vs paper original."""
     rows = []
@@ -142,25 +180,9 @@ def table4_rows(
     seed: int = 0,
 ) -> list[dict]:
     """Table 4: attribute inference AUC/AP for every method × dataset."""
-    rows = []
-    for i, name in enumerate(datasets or ALL_DATASETS):
-        g = load(name, profile=profile)
-        if i == 0 and spark is not None:
-            _warm_up(spark, g, k, nb, seed)
-        for method in ATTR_METHODS:
-            if method == "PANE (parallel)" and spark is None:
-                continue
-            r = run_attr_inference(g, method, spark=spark, k=k, nb=nb, seed=seed)
-            paper = PAPER_TABLE4.get(method, {}).get(name)
-            rows.append(
-                {
-                    "dataset": name, "method": method,
-                    "auc": r.auc, "ap": r.ap, "seconds": r.seconds,
-                    "paper_auc": paper[0] if paper else None,
-                    "paper_ap": paper[1] if paper else None,
-                }
-            )
-    return rows
+    return _metric_rows(
+        run_attr_inference, ATTR_METHODS, PAPER_TABLE4, spark, profile, datasets, k, nb, seed
+    )
 
 
 def table5_rows(
@@ -175,27 +197,9 @@ def table5_rows(
 
     Methods over their scale cap yield AUC/AP of None — the "-" cells.
     """
-    rows = []
-    for i, name in enumerate(datasets or ALL_DATASETS):
-        g = load(name, profile=profile)
-        if i == 0 and spark is not None:
-            _warm_up(spark, g, k, nb, seed)
-        for method in LINK_METHODS:
-            if method == "PANE (parallel)" and spark is None:
-                continue
-            r = run_link_prediction(g, method, spark=spark, k=k, nb=nb, seed=seed)
-            paper = PAPER_TABLE5.get(method, {}).get(name)
-            rows.append(
-                {
-                    "dataset": name, "method": method,
-                    "auc": r.auc if r else None,
-                    "ap": r.ap if r else None,
-                    "seconds": r.seconds if r else None,
-                    "paper_auc": paper[0] if paper else None,
-                    "paper_ap": paper[1] if paper else None,
-                }
-            )
-    return rows
+    return _metric_rows(
+        run_link_prediction, LINK_METHODS, PAPER_TABLE5, spark, profile, datasets, k, nb, seed
+    )
 
 
 def classification_rows(
@@ -210,34 +214,24 @@ def classification_rows(
 ) -> list[dict]:
     """Figure 2 (as a table): micro-F1 per method × dataset × train fraction."""
     rows = []
-    for i, name in enumerate(datasets or ALL_DATASETS):
-        g = load(name, profile=profile)
-        if i == 0 and spark is not None:
-            _warm_up(spark, g, k, nb, seed)
-        for method in CLASSIFICATION_METHODS:
-            if method == "PANE (parallel)" and spark is None:
-                continue
-            t0 = time.perf_counter()
-            feats = method_features(g, method, spark=spark, k=k, nb=nb, seed=seed)
-            embed_secs = time.perf_counter() - t0
-            if feats is None:
-                rows.append(
-                    {"dataset": name, "method": method, "curve": None,
-                     "seconds": None}
-                )
-                continue
-            curve = classification_curve(
-                feats, g.labels, g.n_labels, fractions=fractions,
-                repeats=repeats, seed=seed,
-            )
-            rows.append(
-                {
-                    "dataset": name, "method": method,
-                    "curve": {f: v[0] for f, v in curve.items()},  # micro-F1
-                    "macro": {f: v[1] for f, v in curve.items()},
-                    "seconds": embed_secs,
-                }
-            )
+    for name, g, method in _cells(spark, profile, datasets, CLASSIFICATION_METHODS, k, nb, seed):
+        t0 = time.perf_counter()
+        feats = method_features(g, method, spark=spark, k=k, nb=nb, seed=seed)
+        embed_secs = time.perf_counter() - t0
+        if feats is None:
+            rows.append({"dataset": name, "method": method, "curve": None, "seconds": None})
+            continue
+        curve = classification_curve(
+            feats, g.labels, g.n_labels, fractions=fractions, repeats=repeats, seed=seed,
+        )
+        rows.append(
+            {
+                "dataset": name, "method": method,
+                "curve": {f: v[0] for f, v in curve.items()},  # micro-F1
+                "macro": {f: v[1] for f, v in curve.items()},
+                "seconds": embed_secs,
+            }
+        )
     return rows
 
 
@@ -322,7 +316,7 @@ def greedyinit_rows(
                 xf, xb, y = svdccd_numpy(f, b, *init, it)
                 ccd_secs = time.perf_counter() - t0
                 emb = PaneEmbedding(xf, xb, y)
-                scores = _directed_scores(emb, split, g.directed)
+                scores = directed_scores(emb, split, g.directed)
                 rows.append(
                     {
                         "dataset": name,

@@ -2,8 +2,8 @@
 
 * **Sparse graph matrices** — the random-walk matrix ``P`` and the
   attribute matrix ``R`` — are COO arrays on the driver and in tasks
-  (``coo``: walk weights, jagged-diagonal SpMM, row/column normalization, the
-  kernels both pipelines share).
+  (``coo``: walk weights, COO to dense, jagged-diagonal SpMM, row/column
+  and L2 row normalization, the kernels both pipelines and the baselines share).
 * **Dense node-indexed matrices** (the affinities ``F'/B'`` and the
   embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):
   one row per node block holding both sides of the block's rows as NumPy
@@ -13,10 +13,12 @@
 * ``randsvd``: the randomized SVD of GreedyInit/SMGreedyInit.
 """
 from repro.linalg.coo import (  # noqa: F401
+    coo_dense,
     coo_plan,
     coo_spmm,
     normalize_cols,
     normalize_rows,
+    normalize_rows_l2,
     walk_weights,
 )
 from repro.linalg.matrix import (  # noqa: F401

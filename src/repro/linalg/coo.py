@@ -105,6 +105,13 @@ def coo_spmm(plan: CooPlan, v: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def coo_dense(n: int, d: int, rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dense ``(n, d)`` matrix of COO entries; duplicate pairs add up."""
+    out = np.zeros((n, d))
+    np.add.at(out, (rows, cols), w)
+    return out
+
+
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row to sum 1; all-zero rows stay zero."""
     s = m.sum(axis=1, keepdims=True)
@@ -114,4 +121,10 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 def normalize_cols(m: np.ndarray) -> np.ndarray:
     """Scale each column to sum 1; all-zero columns stay zero."""
     s = m.sum(axis=0, keepdims=True)
+    return np.divide(m, s, out=np.zeros_like(m), where=s > 0)
+
+
+def normalize_rows_l2(m: np.ndarray) -> np.ndarray:
+    """Scale each row to unit L2 norm; all-zero rows stay zero."""
+    s = np.linalg.norm(m, axis=1, keepdims=True)
     return np.divide(m, s, out=np.zeros_like(m), where=s > 0)

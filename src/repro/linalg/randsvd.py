@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+OVERSAMPLE = 8  # extra sketch columns beyond k
+
 
 def rand_svd(
-    mat: np.ndarray, k: int, t: int, seed: int = 0, oversample: int = 8
+    mat: np.ndarray, k: int, t: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``k`` approximate SVD: returns ``(U, Sigma, V)`` with
     ``mat ≈ U @ Sigma @ V.T``, ``U: (n,k)``, ``Sigma: (k,k)`` diagonal,
@@ -36,7 +38,7 @@ def rand_svd(
         return u, np.diag(s), vt.T
 
     rng = np.random.default_rng(seed)
-    p = min(k + oversample, rank)
+    p = min(k + OVERSAMPLE, rank)
     q = mat @ rng.standard_normal((d, p))
     q, _ = np.linalg.qr(q)
     for _ in range(min(max(t, 0), 8)):

@@ -1,4 +1,4 @@
-"""DuckDB correctness oracle.
+"""DuckDB correctness oracle for the tests; the library never imports DuckDB.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.affinity import apmi_numpy, normalize_attrs, num_iterations
+from repro.core.affinity import apmi_numpy, attr_weights, num_iterations
+from repro.linalg import coo_dense
 from repro.walks.simulate import Graph, empirical_affinities, exact_walk_probs
 
 
@@ -50,6 +51,11 @@ class TestNumIterations:
         # paper §5.6: at α=0.5, ϵ from 0.001 to 0.25 ↔ t from ~9 to 1
         assert num_iterations(0.25, 0.5) in (1, 2)
         assert num_iterations(0.001, 0.5) in (9, 10)
+
+
+def normalize_attrs(n, d, node, attr, w):
+    """Dense ``(R_r, R_c)``, as APMI and PAPMI build them from COO associations."""
+    return tuple(coo_dense(n, d, node, attr, x) for x in attr_weights(n, d, node, attr, w))
 
 
 class TestNormalizeAttrs:

@@ -102,7 +102,7 @@ class TestCommonKernels:
         # 0-1 edge: after smoothing, node 0 sees node 1's attribute
         k = smoothed_attrs(
             2, 2, np.array([0]), np.array([1]),
-            np.array([0, 1]), np.array([0, 1]), np.ones(2), hops=2,
+            np.array([0, 1]), np.array([0, 1]), np.ones(2),
         )
         assert k[0, 1] > 0 and k[1, 0] > 0
 
@@ -175,12 +175,12 @@ class TestScaleCaps:
         with pytest.raises(MethodTooExpensive):
             tadw_lite(
                 10_000, 5, np.array([0]), np.array([1]),
-                np.array([0]), np.array([0]), np.ones(1), max_nodes=6000,
+                np.array([0]), np.array([0]), np.ones(1),
             )
 
     def test_netmf_cap(self):
         with pytest.raises(MethodTooExpensive):
-            netmf_lite(10_000, np.array([0]), np.array([1]), max_nodes=6000)
+            netmf_lite(10_000, np.array([0]), np.array([1]))
 
 
 class TestFeatureInterfaces:

@@ -9,7 +9,7 @@ as stored, no change to rows it does not write, and no zip importer left
 cached in a worker between passes. The COO kernels both
 pipelines share (walk weights, jagged-diagonal SpMM, normalizations) are
 checked against dense NumPy references and — where the operation is
-SQL-expressible — against the DuckDB oracle (``repro.oracle``), so a
+SQL-expressible — against the DuckDB oracle (``tests/oracle.py``), so a
 wrong gather or aggregation is caught as a wrong *result*.
 """
 import importlib
@@ -37,7 +37,7 @@ from repro.linalg import (
     walk_weights,
 )
 from repro.linalg.matrix import evict_zip_importers, spark_hash_int
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from tests.spark_states import pinned_state
 
 

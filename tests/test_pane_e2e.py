@@ -252,6 +252,31 @@ class TestNoSilentNodeDrop:
         assert not (embedded(emb_np) & ~embedded(emb_sp)).any()
 
 
+class TestHalfWidthAboveD:
+    """k/2 > d: each side's rank-d affinity matrix fits in k/2 columns, so
+    both drivers reach Eq. (4)'s zero and keep ``Y`` at ``(d, k/2)``."""
+
+    N, D, K = 40, 5, 16
+
+    @pytest.mark.parametrize("nb", [None, 1, 3], ids=["numpy", "spark-nb1", "spark-nb3"])
+    def test_exact_fit(self, spark, nb):
+        rng = np.random.default_rng(5)
+        n, d = self.N, self.D
+        args = (
+            n, d, rng.integers(0, n, 160), rng.integers(0, n, 160),
+            rng.integers(0, n, 120), rng.integers(0, d, 120), 1.0 + rng.random(120),
+        )
+        if nb is None:
+            emb = pane_numpy(*args, k=self.K, seed=0)
+        else:
+            emb = pane_spark(spark, *args, k=self.K, nb=nb, seed=0)
+        assert emb.y.shape == (d, self.K // 2)
+        assert all(np.isfinite(x).all() for x in (emb.xf, emb.xb, emb.y))
+        f, b = apmi_numpy(*args, 0.5, num_iterations(0.015, 0.5))
+        scale = np.sum(f**2) + np.sum(b**2)
+        assert objective(f, b, emb.xf, emb.xb, emb.y) <= 1e-20 * scale
+
+
 class TestIdDtypes:
     """Ids of any integer dtype give the int64 run's embeddings, bit for bit."""
 

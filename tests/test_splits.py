@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import load
 from repro.eval.splits import attribute_split, link_split
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

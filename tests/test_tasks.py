@@ -14,13 +14,8 @@ from repro.eval.link_prediction import LINK_METHODS, run_link_prediction
 def _cap_tadw(monkeypatch):
     """Make the dispatcher's TADW refuse every graph (cap of one node)."""
     import repro.baselines.tadw as tadw_mod
-    from repro.eval import methods
 
-    def capped(*args, **kwargs):
-        kwargs["max_nodes"] = 1
-        return tadw_mod.tadw_lite(*args, **kwargs)
-
-    monkeypatch.setattr(methods, "tadw_lite", capped)
+    monkeypatch.setattr(tadw_mod, "MAX_NODES", 1)
 
 
 @pytest.fixture(scope="module")
