@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Figures 3/4a — running time and PANE (parallel) speedup vs nb partitions.
+"""Figures 3/4a — running time and PANE (parallel) speedup vs nb partitions,
+next to one PANE (single thread) run on the same graph.
 
 Usage: spark-submit jobs/run_scalability.py [--profile bench]
        [--datasets googleplus tweibo] [--nbs 1 2 4 8 16]

@@ -7,7 +7,8 @@ update touches only ``Xf[vi,·]`` and the residual row ``Sf[vi]``) and
 columns do not interact within the Y-phase (``Y[rj,·]`` touches only
 ``Sf[:,rj]``), so interchanging the loops to coordinate-major
 (``for l: all vi at once``) performs the same update sequence per
-row/column while vectorizing over the independent index. Tests assert
+row/column while vectorizing over the independent index; the remaining
+loop over ``l`` is one triangular solve (below). Tests assert
 agreement with the literal Algorithm-4 loop nest
 (``tests/naive_ccd.naive_svdccd_numpy``) to ``atol=1e-9``: the sums are
 associated differently, so the results agree up to rounding, not bit
@@ -15,16 +16,25 @@ for bit.
 
 Neither phase forms the n×d residual ``S = X·Yᵀ − M``. Each reads the
 residual's products through a moment identity (DESIGN.md, "CCD
-reformulation"), the CCD++ trick of Yu et al. (ICDM 2012):
+reformulation"), the CCD++ trick of Yu et al. (ICDM 2012), and each
+phase's cyclic column sweep is one Gauss–Seidel step, a triangular solve
+with no Python loop over the k/2 columns (``_sweep_maps``):
 
-* X-phase: ``S·y_l = X·(YᵀY)[:,l] − (M·Y)[:,l]``. ``YᵀY`` is (k/2)² and
-  ``M·Y`` one n×d by d×(k/2) product per side, so a sweep costs
-  O(n·d·k + n·k²) with no n×d temporary.
-* Y-phase: ``N := Xf^T Sf + Xb^T Sb = (Gf+Gb)·Y^T − (Xf^T F' + Xb^T B')``.
-  The four moments are tiny ((k/2)² and (k/2)×d) and computed by partial
-  sums over the state's node-block rows (``moments``), after which the
-  driver replays the exact cyclic update including the paper's dynamic
-  maintenance (Equation 20) as ``N[:,rj] −= µy·G[:,l]``.
+* X-phase: ``S·y_l = X·(YᵀY)[:,l] − (M·Y)[:,l]``, read with columns
+  ``< l`` already updated, is ``X_new·T = M·Y − X·E`` with ``T``/``E``
+  the upper/strict lower triangle of ``YᵀY``. Per side a sweep is
+  ``X_new = M·(Y·T⁻¹) − X·(E·T⁻¹)``: one n×d by d×(k/2) GEMM and one
+  n×(k/2) by (k/2)² GEMM, O(n·d·k + n·k²) with no n×d temporary.
+* Y-phase: ``N := Xf^T Sf + Xb^T Sb = G·Y^T − C`` with ``G = Xfᵀ·Xf +
+  Xbᵀ·Xb`` and ``C = Xfᵀ·F' + Xbᵀ·B'``. The moments are tiny ((k/2)² and
+  (k/2)×d) and computed by partial sums over the state's node-block rows
+  (``moments``). The paper's dynamic maintenance (Equation 20) reads row
+  ``l`` of ``N`` with rows ``< l`` of ``Yᵀ`` already updated, so the
+  driver's sweep is ``tril(G)·Y_newᵀ = C − triu(G, 1)·Yᵀ``.
+
+Tests check both sweeps against their column-by-column loops
+(``tests/naive_ccd.loop_x_phase`` and ``loop_y_phase_from_moments``) to
+1e-10 relative.
 """
 from __future__ import annotations
 
@@ -45,33 +55,72 @@ def objective(
     )
 
 
+def _tril_inv(l: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with a nonzero diagonal.
+
+    Blocked inversion with block sizes doubling from 1: a diagonal pair
+    ``[[A, 0], [C, D]]`` has inverse ``[[A⁻¹, 0], [−D⁻¹·C·A⁻¹, D⁻¹]]``, so
+    each level is one batched product over all pairs (the matrix is
+    padded with the identity to a power of two). NumPy has no triangular
+    solver, and its LAPACK inverse is no substitute here: with OpenBLAS
+    threads, four concurrent processes (PSVDCCD's workers on a 4-core
+    box) took 20–180 ms per 64×64 inverse, against 0.2 ms alone.
+    """
+    k = len(l)
+    size = 1 << max(k - 1, 0).bit_length()
+    a = np.eye(size)
+    a[:k, :k] = l
+    inv = np.diag(1.0 / np.diag(a))
+    s = 1
+    while s < size:
+        n = size // (2 * s)
+        r = np.arange(n)
+        c = a.reshape(n, 2 * s, n, 2 * s)[r, s:, r, :s]
+        blocks = inv.reshape(n, 2 * s, n, 2 * s)  # a view: writes land in inv
+        blocks[r, s:, r, :s] = -blocks[r, s:, r, s:] @ c @ blocks[r, :s, r, :s]
+        s *= 2
+    return inv[:k, :k]
+
+
+def _sweep_maps(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, Q)`` such that one cyclic coordinate sweep over the rows of
+    ``z`` for the normal equations ``g·z = r`` is ``z_new = P·r − Q·z``.
+
+    Row ``l`` solves its equation with rows ``< l`` already updated and
+    rows ``> l`` still old, which is the triangular system
+    ``tril(g)·z_new = r − triu(g, 1)·z``: ``P = tril(g)⁻¹`` and
+    ``Q = tril(g)⁻¹·triu(g, 1)``. A row whose diagonal is below
+    ``_TINY`` keeps its old value (its row of ``P`` is 0, of ``Q`` is
+    ``−e_l``), and every other row reads that old value, above the
+    diagonal or below it.
+    """
+    keep = np.diag(g) >= _TINY
+    upper = np.triu(g, 1)
+    upper[:, ~keep] = g[:, ~keep]
+    p = np.zeros_like(g)
+    p[np.ix_(keep, keep)] = _tril_inv(np.tril(g[np.ix_(keep, keep)]))
+    return p, p @ upper - np.diag((~keep).astype(g.dtype))
+
+
 def x_phase(
     f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One CCD sweep over the node rows: ``Xf`` against ``F'`` and ``Xb``
-    against ``B'`` (Alg. 4 Lines 3-9), vectorized.
+    against ``B'`` (Alg. 4 Lines 3-9).
 
     Neither side nor any row interacts with another, so any set of node
-    rows is swept on its own. The update of column ``l`` needs the
-    residual product ``S·y_l`` with ``S = X·Yᵀ − M`` at its current
-    value; it is read as ``X·(YᵀY)[:,l] − (M·Y)[:,l]`` from the current
-    ``X``, which equals the paper's dynamically-maintained residual
-    (Equations 18-19) without forming it. Columns of ``Y`` with zero norm
-    leave their column of ``X`` untouched. Pure function: inputs are not
-    mutated.
+    rows is swept on its own. Column ``l``'s update reads the residual
+    product ``S·y_l = X·(YᵀY)[:,l] − (M·Y)[:,l]`` with columns ``< l``
+    already updated, so a sweep solves ``X_new·T = M·Y − X·E`` with
+    ``T``/``E`` the upper/strict lower triangle of ``YᵀY``. Per side that
+    is ``X_new = M·(Y·T⁻¹) − X·(E·T⁻¹)``: one n×d by d×(k/2) product and
+    one n×(k/2) by (k/2)² product (DESIGN.md, "CCD reformulation").
+    Columns of ``Y`` with zero norm leave their column of ``X``
+    untouched. Pure function: inputs are not mutated.
     """
-    gy = y.T @ y
-    out = []
-    for m, x in ((f, xf), (b, xb)):
-        x = x.copy()
-        my = m @ y
-        for l in range(y.shape[1]):
-            denom = gy[l, l]
-            if denom < _TINY:
-                continue
-            x[:, l] -= (x @ gy[:, l] - my[:, l]) / denom
-        out.append(x)
-    return out[0], out[1]
+    p, q = _sweep_maps(y.T @ y)
+    w = y @ p.T
+    return f @ w - xf @ q.T, b @ w - xb @ q.T
 
 
 def moments(
@@ -89,20 +138,14 @@ def y_phase_from_moments(
 ) -> np.ndarray:
     """One CCD sweep over Y (Alg. 4 Lines 10-14) given the moments.
 
-    ``g = Xf^T Xf + Xb^T Xb`` and ``c = Xf^T F' + Xb^T B'``; the running
-    numerator matrix ``n = g·Y^T − c`` absorbs Equation (20)'s residual
-    maintenance. Vectorized over the independent attribute index.
+    ``g = Xf^T Xf + Xb^T Xb`` and ``c = Xf^T F' + Xb^T B'``. Column ``l``
+    of ``Y`` moves by row ``l`` of the numerator ``G·Yᵀ − C`` with columns
+    ``< l`` already updated, which absorbs Equation (20)'s residual
+    maintenance; the sweep is the triangular solve
+    ``tril(G)·Y_newᵀ = C − triu(G, 1)·Yᵀ``.
     """
-    y = y.copy()
-    n = g @ y.T - c
-    for l in range(y.shape[1]):
-        denom = g[l, l]
-        if denom < _TINY:
-            continue
-        mu = n[l, :] / denom
-        y[:, l] -= mu
-        n -= np.outer(g[:, l], mu)
-    return y
+    p, q = _sweep_maps(g)
+    return c.T @ p.T - y @ q.T
 
 
 def svdccd_numpy(

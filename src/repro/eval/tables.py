@@ -249,26 +249,33 @@ def scalability_rows(
     block-partition count of the state DataFrames (DESIGN.md note #6).
     One untimed run on the first dataset at ``nbs[0]`` pays the JVM and
     Python-worker warm-up, so it does not inflate the baseline.
+
+    ``speedup`` is against PANE (parallel) at ``nbs[0]``, not against
+    single-thread PANE, so each row also carries one timed ``pane_numpy``
+    call on the same graph as ``single_thread_seconds``: the paper's
+    reference for the curve.
     """
-    from repro.core.pane import pane_spark
+    from repro.core.pane import pane_numpy, pane_spark
 
     rows = []
     for i, name in enumerate(datasets):
         g = load(name, profile=profile)
         if i == 0:
             _warm_up(spark, g, k, nbs[0], seed)
+        inp = (g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight)
+        t0 = time.perf_counter()
+        pane_numpy(*inp, k=k, seed=seed)
+        single = time.perf_counter() - t0
         base = None
         for nb in nbs:
             t0 = time.perf_counter()
-            pane_spark(
-                spark, g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                k=k, nb=nb, seed=seed,
-            )
+            pane_spark(spark, *inp, k=k, nb=nb, seed=seed)
             dt = time.perf_counter() - t0
             if base is None:
                 base = dt
             rows.append(
-                {"dataset": name, "nb": nb, "seconds": dt, "speedup": base / dt}
+                {"dataset": name, "nb": nb, "seconds": dt, "speedup": base / dt,
+                 "single_thread_seconds": single}
             )
     return rows
 
@@ -390,12 +397,20 @@ def format_classification(rows: list[dict]) -> str:
 
 
 def format_scalability(rows: list[dict]) -> str:
-    out = ["Figure 4a: PANE (parallel) scalability vs nb", "=" * 44]
+    out = [
+        "Figure 4a: PANE (parallel) scalability vs nb",
+        "=" * 44,
+        "speedup is against PANE (parallel) at the first nb; "
+        "PANE (single thread) is one pane_numpy call on the same graph",
+    ]
     for r in rows:
-        out.append(
+        line = (
             f"  {r['dataset']:11s} nb={r['nb']:>2}  {r['seconds']:8.1f}s  "
             f"speedup ×{r['speedup']:.2f}"
         )
+        if r.get("single_thread_seconds") is not None:
+            line += f"  | PANE (single thread) {r['single_thread_seconds']:8.1f}s"
+        out.append(line)
     return "\n".join(out)
 
 

@@ -5,6 +5,16 @@ power-iteration cousin of Musco–Musco block Krylov): same O(ndkt)
 cost class and, as ``t → ∞``, the same exact-SVD limit that Lemma 4.2
 relies on. Used directly by GreedyInit (Algorithm 3) and once per
 node block by SMGreedyInit (Algorithm 7).
+
+The subspace after t power steps is range(A·(AᵀA)^t·Ω), so the steps
+can run in the smaller dimension m = min(n, d) (Halko et al., SIAM Rev.
+2011, Sec. 4.5): one m×m Gram matrix, then t products with it and t QRs
+of an m×p block. ``rand_svd`` takes that side whenever it costs fewer
+flops than the 2t sketch products it replaces, which holds for every
+input PANE factorizes; a square n×n input with n > 2tp (NetMF's) keeps
+the sketch loop. Both forms round alike: a product with ``G``, like one
+with ``Aᵀ`` then ``A``, is exact to ε·σ₁², so they agree while the kept
+singular values stay far above √ε·σ₁ (DESIGN.md, deviation #5).
 """
 from __future__ import annotations
 
@@ -39,10 +49,23 @@ def rand_svd(
 
     rng = np.random.default_rng(seed)
     p = min(k + OVERSAMPLE, rank)
-    q = mat @ rng.standard_normal((d, p))
-    q, _ = np.linalg.qr(q)
-    for _ in range(min(max(t, 0), 8)):
-        q, _ = np.linalg.qr(mat @ (mat.T @ q))
+    omega = rng.standard_normal((d, p))
+    steps = min(max(t, 0), 8)
+    big = max(n, d)
+    if rank * (big + 2 * steps * p) < 4 * steps * big * p:
+        # The m×m Gram and t products with it cost fewer flops than the
+        # 2t sketch products A·(Aᵀ·q).
+        if n >= d:  # steps on the d side, then one map: A·(AᵀA)^t·Ω
+            g, z = mat.T @ mat, omega
+        else:  # steps on the n side: (AAᵀ)^t·A·Ω
+            g, z = mat @ mat.T, np.linalg.qr(mat @ omega)[0]
+        for _ in range(steps):
+            z, _ = np.linalg.qr(g @ z)
+        q = np.linalg.qr(mat @ z)[0] if n >= d else z
+    else:
+        q, _ = np.linalg.qr(mat @ omega)
+        for _ in range(steps):
+            q, _ = np.linalg.qr(mat @ (mat.T @ q))
     b = q.T @ mat
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     return (q @ ub)[:, :k], np.diag(s[:k]), vt[:k].T

@@ -1,4 +1,5 @@
-"""The literal Algorithm-4 loop nest, the reference the vectorized SVDCCD is tested against."""
+"""References the SVDCCD kernels are tested against: the literal Algorithm-4
+loop nest, and the column-by-column form of each phase's sweep."""
 import numpy as np
 
 from repro.core.ccd import _TINY
@@ -45,3 +46,39 @@ def naive_svdccd_numpy(
                 sf[:, rj] -= muy * xf[:, l]  # Equation (20)
                 sb[:, rj] -= muy * xb[:, l]
     return xf, xb, y
+
+
+def loop_x_phase(
+    f: np.ndarray, b: np.ndarray, xf: np.ndarray, xb: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The X-phase one column at a time: column ``l`` of each side moves by
+    ``(X·(YᵀY)[:,l] − (M·Y)[:,l]) / (YᵀY)[l,l]`` from the current ``X``."""
+    gy = y.T @ y
+    out = []
+    for m, x in ((f, xf), (b, xb)):
+        x = x.copy()
+        my = m @ y
+        for l in range(y.shape[1]):
+            denom = gy[l, l]
+            if denom < _TINY:
+                continue
+            x[:, l] -= (x @ gy[:, l] - my[:, l]) / denom
+        out.append(x)
+    return out[0], out[1]
+
+
+def loop_y_phase_from_moments(
+    y: np.ndarray, g: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """The Y-phase one column at a time, with Equation (20)'s maintenance
+    as a running numerator ``n = G·Yᵀ − C``."""
+    y = y.copy()
+    n = g @ y.T - c
+    for l in range(y.shape[1]):
+        denom = g[l, l]
+        if denom < _TINY:
+            continue
+        mu = n[l, :] / denom
+        y[:, l] -= mu
+        n -= np.outer(g[:, l], mu)
+    return y

@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.affinity import apmi_numpy, num_iterations
 from repro.core.ccd import (
     collect_embeddings,
+    moments,
     objective,
     psvdccd_spark,
     svdccd_numpy,
@@ -13,7 +17,8 @@ from repro.core.ccd import (
     y_phase_from_moments,
 )
 from repro.core.greedy_init import greedy_init_numpy, random_init_numpy
-from tests.naive_ccd import naive_svdccd_numpy
+from repro.datasets import load
+from tests.naive_ccd import loop_x_phase, loop_y_phase_from_moments, naive_svdccd_numpy
 from tests.spark_states import pinned_state
 
 
@@ -127,6 +132,20 @@ class TestConvergence:
         assert all(o2 <= o1 + 1e-9 for o1, o2 in zip(objs, objs[1:]))
         assert objs[-1] < objs[0]
 
+    def test_objective_monotone_on_cora(self):
+        """Eq. (4) does not increase across ``svdccd_numpy``'s t sweeps on
+        the test-profile cora stand-in, from GreedyInit as in ``pane_numpy``."""
+        g = load("cora", profile="test")
+        t = num_iterations(0.015, 0.5)
+        f, b = apmi_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, 0.5, t)
+        emb = greedy_init_numpy(f, b, 16, t)
+        objs = [objective(f, b, *emb)]
+        for _ in range(t):
+            emb = svdccd_numpy(f, b, *emb, 1)
+            objs.append(objective(f, b, *emb))
+        assert all(o2 <= o1 * (1 + 1e-12) for o1, o2 in zip(objs, objs[1:]))
+        assert objs[-1] < objs[0]
+
     def test_x_phase_does_not_mutate_inputs(self):
         f, b, xf, xb, y = _problem(seed=7)
         xf0, xb0 = xf.copy(), xb.copy()
@@ -143,6 +162,48 @@ class TestConvergence:
         og = objective(f, b, *svdccd_numpy(f, b, *xg, 2))
         orand = objective(f, b, *svdccd_numpy(f, b, *xr, 2))
         assert og < orand
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """A CCD sweep input with every column kind the sweeps must handle:
+    k/2 > d, zero-norm columns of Y and of X, nonzero columns whose
+    squared norm is below ``_TINY``, and nearly dependent columns of Y
+    and of X."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 12))
+    k2 = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = np.abs(rng.standard_normal((n, d)))
+    b = np.abs(rng.standard_normal((n, d)))
+    xf, xb, y = (rng.standard_normal((r, k2)) for r in (n, n, d))
+    cols = st.integers(0, k2 - 1)
+    for i, j in draw(st.lists(st.tuples(cols, cols), max_size=3)):
+        for a in (y, xf, xb):
+            a[:, j] = 2.0 * a[:, i] + 1e-7 * rng.standard_normal(len(a))
+    for scale in (0.0, 1e-8):
+        y[:, draw(st.lists(cols, max_size=2))] *= scale
+        x_cols = draw(st.lists(cols, max_size=2))
+        xf[:, x_cols] *= scale
+        xb[:, x_cols] *= scale
+    return f, b, xf, xb, y
+
+
+def _assert_close(new, ref, rel=1e-10):
+    assert np.max(np.abs(new - ref), initial=0.0) <= rel * max(np.max(np.abs(ref), initial=0.0), 1.0)
+
+
+class TestSweepOracles:
+    """The triangular-solve sweeps equal the column-by-column loops."""
+
+    @given(_sweep_inputs())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_sweeps_equal_loops(self, case):
+        f, b, xf, xb, y = case
+        for new, ref in zip(x_phase(f, b, xf, xb, y), loop_x_phase(f, b, xf, xb, y)):
+            _assert_close(new, ref)
+        g, c = moments(f, b, xf, xb)
+        _assert_close(y_phase_from_moments(y, g, c), loop_y_phase_from_moments(y, g, c))
 
 
 class TestPsvdccdSpark:

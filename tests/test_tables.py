@@ -117,6 +117,28 @@ class TestBuilders:
         assert calls == [(cora, 1), (cora, 1), (cora, 2), (cora, 4),
                          (fb, 1), (fb, 2), (fb, 4)]
 
+    def test_scalability_reports_single_thread_reference(self, monkeypatch):
+        """Each dataset's rows carry one timed ``pane_numpy`` call on the same
+        graph, k and seed, and the formatted table prints it, so the nb
+        curve is not read as a speedup over single-thread PANE."""
+        import repro.core.pane as pane_mod
+
+        calls = []
+        monkeypatch.setattr(pane_mod, "pane_spark", lambda spark, n, *args, nb, **kw: None)
+        monkeypatch.setattr(
+            pane_mod, "pane_numpy", lambda n, *args, k, seed: calls.append((n, k, seed))
+        )
+        rows = scalability_rows(
+            None, profile="test", datasets=("cora", "facebook"), nbs=(1, 2), k=16, seed=4
+        )
+        cora, fb = (load(name, profile="test").n for name in ("cora", "facebook"))
+        assert calls == [(cora, 16, 4), (fb, 16, 4)]
+        for name in ("cora", "facebook"):
+            single = {r["single_thread_seconds"] for r in rows if r["dataset"] == name}
+            assert len(single) == 1 and single.pop() >= 0
+        txt = format_scalability(rows)
+        assert txt.count("PANE (single thread)") >= len(rows)
+
     def test_table4_warms_up_before_timing(self, monkeypatch):
         """One untimed PANE (parallel) run on the first dataset precedes the
         timed cells, so the first cell does not pay the warm-up."""
