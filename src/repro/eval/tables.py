@@ -404,13 +404,11 @@ def format_scalability(rows: list[dict]) -> str:
         "PANE (single thread) is one pane_numpy call on the same graph",
     ]
     for r in rows:
-        line = (
+        out.append(
             f"  {r['dataset']:11s} nb={r['nb']:>2}  {r['seconds']:8.1f}s  "
-            f"speedup ×{r['speedup']:.2f}"
+            f"speedup ×{r['speedup']:.2f}  "
+            f"| PANE (single thread) {r['single_thread_seconds']:8.1f}s"
         )
-        if r.get("single_thread_seconds") is not None:
-            line += f"  | PANE (single thread) {r['single_thread_seconds']:8.1f}s"
-        out.append(line)
     return "\n".join(out)
 
 

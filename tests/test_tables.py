@@ -196,7 +196,8 @@ class TestFormatters:
 
     def test_format_scalability(self):
         txt = format_scalability(
-            [{"dataset": "d", "nb": 4, "seconds": 2.0, "speedup": 3.0}]
+            [{"dataset": "d", "nb": 4, "seconds": 2.0, "speedup": 3.0,
+              "single_thread_seconds": 1.0}]
         )
         assert "nb= 4" in txt and "×3.00" in txt
 
