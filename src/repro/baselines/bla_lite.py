@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import row_norm_attr, sym_norm_adj
-from repro.linalg.coo import coo_plan, coo_spmm
+from repro.baselines.common import row_norm_attr, sym_norm_op
 
 DAMPING = 0.85  # λ: the share of each step's mass that comes from neighbours
 ITERS = 10
@@ -42,9 +41,9 @@ def bla_lite(
     weight: np.ndarray,
 ) -> BlaScores:
     """``Z ← (1-λ)·R + λ·Â·Z`` to (near) fixpoint, seeded by observed R."""
-    plan = coo_plan(*sym_norm_adj(n, src, dst))
+    smooth = sym_norm_op(n, src, dst)
     r = row_norm_attr(n, d, node, attr, weight)
     z = r.copy()
     for _ in range(ITERS):
-        z = (1 - DAMPING) * r + DAMPING * coo_spmm(plan, z, n)
+        z = (1 - DAMPING) * r + DAMPING * smooth(z)
     return BlaScores(z=z)

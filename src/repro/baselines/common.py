@@ -1,6 +1,7 @@
 """Shared sparse kernels and embedding containers for the baselines."""
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,22 @@ def undirected_edges(
 def sym_norm_adj(
     n: int, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO of ``Â = D̃^{-1/2} (A_sym + I) D̃^{-1/2}`` (GCN-style smoothing)."""
+    """``Â = D̃^{-1/2} (A_sym + I) D̃^{-1/2}`` (GCN-style smoothing) as ``(s, t, dis)``.
+
+    ``(s, t)`` is the COO pattern of ``A_sym + I`` and ``dis`` the
+    diagonal of ``D̃^{-1/2}``; every degree is ≥ 1, counting the self-loop.
+    """
     s, t = undirected_edges(n, src, dst)
     s = np.concatenate([s, np.arange(n, dtype=s.dtype)])
     t = np.concatenate([t, np.arange(n, dtype=t.dtype)])
-    deg = np.bincount(s, minlength=n).astype(np.float64)
-    w = 1.0 / np.sqrt(deg[s] * deg[t])
-    return s, t, w
+    return s, t, 1.0 / np.sqrt(np.bincount(s, minlength=n))
+
+
+def sym_norm_op(n: int, src: np.ndarray, dst: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``v ↦ Â·v``: the pattern's gather-add between two ``D̃^{-1/2}`` scalings."""
+    s, t, dis = sym_norm_adj(n, src, dst)
+    plan, dis = coo_plan(s, t), dis[:, None]
+    return lambda v: dis * coo_spmm(plan, dis * v, n)
 
 
 def row_norm_attr(
@@ -85,8 +95,8 @@ def smoothed_attrs(
     The common core of the CAN/BANE-class baselines: attribute signal
     diffused a few hops over the (undirected, normalized) topology.
     """
-    plan = coo_plan(*sym_norm_adj(n, src, dst))
+    smooth = sym_norm_op(n, src, dst)
     k = row_norm_attr(n, d, node, attr, weight)
     for _ in range(SMOOTHING_HOPS):
-        k = coo_spmm(plan, k, n)
+        k = smooth(k)
     return k

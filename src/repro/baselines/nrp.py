@@ -12,11 +12,12 @@ ignored by construction, which is the comparison the paper draws.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.coo import CooPlan, coo_plan, coo_spmm, normalize_rows_l2, walk_weights
+from repro.linalg.coo import coo_plan, coo_spmm, inv_out_degree, normalize_rows_l2
 
 ALPHA = 0.15  # PPR stopping probability
 T = 10  # terms of the truncated PPR series
@@ -52,11 +53,11 @@ def nrp_lite(
     rng = np.random.default_rng(seed)
     k2 = max(1, k // 2)
     q_dim = min(n, k2 + 8)
-    w = walk_weights(n, src)
-    fwd, bwd = coo_plan(src, dst, w), coo_plan(dst, src, w)
+    inv = inv_out_degree(n, src)[:, None]
+    fwd, bwd = coo_plan(src, dst), coo_plan(dst, src)
 
-    def ppr_apply(v: np.ndarray, plan: CooPlan) -> np.ndarray:
-        """``Π̃ v`` (``Π̃^T v`` with the backward plan) by the truncated-series recurrence.
+    def ppr_apply(v: np.ndarray, step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``Π̃ v`` (``Π̃^T v`` with the transposed ``step``) by the truncated-series recurrence.
 
         The series starts at ℓ=1 (Π̃ = Π − α·I): like NRP/STRAP, we
         factorize the *off-diagonal* proximity — the α·I self-mass is a
@@ -66,13 +67,13 @@ def nrp_lite(
         acc = np.zeros_like(v)
         cur = v
         for ell in range(1, T + 1):
-            cur = coo_spmm(plan, cur, n)
+            cur = step(cur)
             acc += ALPHA * (1 - ALPHA) ** ell * cur
         return acc
 
     omega = rng.standard_normal((n, q_dim))
-    q, _ = np.linalg.qr(ppr_apply(omega, fwd))
-    b = ppr_apply(q, bwd).T  # Q^T Π  (q_dim × n)
+    q, _ = np.linalg.qr(ppr_apply(omega, lambda c: inv * coo_spmm(fwd, c, n)))  # P = D⁻¹A
+    b = ppr_apply(q, lambda c: coo_spmm(bwd, inv * c, n)).T  # Q^T Π  (q_dim × n)
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
     r = min(k2, len(s))
     scale = np.sqrt(s[:r])

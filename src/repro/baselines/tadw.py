@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import MethodTooExpensive, NodeEmbedding, row_norm_attr
-from repro.linalg.coo import coo_dense, walk_weights
+from repro.linalg.coo import coo_dense, inv_out_degree
 from repro.linalg.randsvd import rand_svd
 
 MAX_NODES = 6000  # the largest n whose n×n proximity matrix is built
@@ -46,7 +46,7 @@ def tadw_lite(
         )
     k2 = max(1, k // 2)
     # M = (P + P^2) / 2 over the row-stochastic walk matrix.
-    p = coo_dense(n, n, src, dst, walk_weights(n, src))
+    p = coo_dense(n, n, src, dst, inv_out_degree(n, src)[src])
     m = (p + p @ p) / 2.0
 
     # Text features: top singular directions of the attribute matrix.

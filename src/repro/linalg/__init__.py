@@ -1,9 +1,10 @@
 """Linear-algebra substrate for the PANE reproduction.
 
-* **Sparse graph matrices** — the random-walk matrix ``P`` and the
+* **Sparse graph matrices** — the graph's pattern ``A`` and the
   attribute matrix ``R`` — are COO arrays on the driver and in tasks
-  (``coo``: walk weights, COO to dense, jagged-diagonal SpMM, row/column
-  and L2 row normalization, the kernels both pipelines and the baselines share).
+  (``coo``: ``1/outdeg``, COO to dense, the jagged-diagonal gather-add
+  over ``A``'s pattern, row/column and L2 row normalization, the kernels
+  both pipelines and the baselines share).
 * **Dense node-indexed matrices** (the affinities ``F'/B'`` and the
   embeddings ``Xf/Xb``) live in Spark as *state DataFrames* (``matrix``):
   one row per node block holding both sides of the block's rows as NumPy
@@ -16,10 +17,10 @@ from repro.linalg.coo import (  # noqa: F401
     coo_dense,
     coo_plan,
     coo_spmm,
+    inv_out_degree,
     normalize_cols,
     normalize_rows,
     normalize_rows_l2,
-    walk_weights,
 )
 from repro.linalg.matrix import (  # noqa: F401
     map_blocks,

@@ -1,7 +1,14 @@
 """NumPy COO kernels shared by both PANE pipelines.
 
-The random-walk matrix ``P = D^{-1} A`` is held as COO arrays ``(src,
-dst, w)``. ``coo_plan`` lays one direction of it out once in the
+A plan holds only the pattern of ``A``, the graph's edges. Every weight
+the walks need factors into diagonal scalings: ``P = D^{-1} A`` is
+``inv_out_degree`` applied to the rows of ``A·v`` (or, for ``Pᵀ``, to
+``v`` before ``Aᵀ``), and the baselines' ``D̃^{-1/2}(A+I)D̃^{-1/2}`` is one
+scaling on each side. So ``coo_spmm`` is a pure gather-add and the
+scalings cost one multiply per row and column, not one per edge and
+column.
+
+``coo_plan`` lays one direction of the pattern out once in the
 jagged-diagonal (JAD) format of Saad (SIAM J. Sci. Stat. Comput., 1989):
 the output rows ordered by entry count, descending, and slot ``k``
 holding the ``k``-th entry of every row that has more than ``k``. Those
@@ -13,7 +20,8 @@ stops at the first slot with fewer than ``_MIN_SLOT_ROWS`` rows, and the
 rest of those few heavy rows' entries go through one gather plus
 ``np.add.reduceat``, so a hub is not one slot per entry. Each output
 column is summed in the same order at any width, so splitting the
-columns into blocks gives the same bits.
+columns into blocks gives the same bits; ``affinity.propagate`` relies
+on that to walk a few cache-sized column blocks one after another.
 """
 from __future__ import annotations
 
@@ -29,37 +37,34 @@ _MIN_SLOT_ROWS = 32
 
 
 class CooPlan(NamedTuple):
-    """A COO matrix in jagged-diagonal order.
+    """The pattern of a COO matrix in jagged-diagonal order.
 
     ``rows`` are the output rows, most entries first. Slot ``k`` is
-    ``cols[bounds[k]:bounds[k+1]]`` (input rows) and ``w[...]`` (weights)
-    for the first ``bounds[k+1] - bounds[k]`` of ``rows``. The tail holds
-    the remaining entries of ``rows[:len(tail_starts)]``, row by row, as
-    ``reduceat`` segments.
+    ``cols[bounds[k]:bounds[k+1]]`` (input rows) for the first
+    ``bounds[k+1] - bounds[k]`` of ``rows``. The tail holds the remaining
+    entries of ``rows[:len(tail_starts)]``, row by row, as ``reduceat``
+    segments.
     """
 
     rows: np.ndarray
     bounds: np.ndarray
     cols: np.ndarray
-    w: np.ndarray
     tail_starts: np.ndarray
     tail_cols: np.ndarray
-    tail_w: np.ndarray
 
 
-def walk_weights(n: int, src: np.ndarray) -> np.ndarray:
-    """Random-walk weights ``w = 1 / outdeg(src)``: the nonzeros of ``P = D^{-1} A``.
+def inv_out_degree(n: int, src: np.ndarray) -> np.ndarray:
+    """``1 / outdeg``, the diagonal of ``D^{-1}`` in ``P = D^{-1} A``; 0 for dangling nodes.
 
-    Duplicate edges count once each toward the out-degree and each carries
-    its own weight. Dangling nodes (out-degree 0) have no edge, hence a
-    zero row of ``P`` (DESIGN.md deviation #3).
+    Duplicate edges count once each toward the out-degree. A dangling
+    node (out-degree 0) has a zero row of ``P`` (DESIGN.md deviation #3).
     """
     deg = np.bincount(src, minlength=n).astype(np.float64)
-    return 1.0 / deg[src]
+    return np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
 
 
-def coo_plan(out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray) -> CooPlan:
-    """Lay the COO entries ``(out_idx, in_idx, w)`` out in JAD order, once.
+def coo_plan(out_idx: np.ndarray, in_idx: np.ndarray) -> CooPlan:
+    """Lay the COO pattern ``(out_idx, in_idx)`` out in JAD order, once.
 
     Each row keeps its entries in their stable sort order.
     """
@@ -79,27 +84,22 @@ def coo_plan(out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray) -> CooPlan:
     tail_idx = np.concatenate(
         [order[:0]] + [order[f : f + r] for f, r in zip((first[heavy] + n_slots).tolist(), rest.tolist())]
     )
-    return CooPlan(
-        rows, np.cumsum([0] + per_slot), in_idx[slot_idx], w[slot_idx][:, None],
-        np.cumsum(rest) - rest, in_idx[tail_idx], w[tail_idx][:, None],
-    )
+    return CooPlan(rows, np.cumsum([0] + per_slot), in_idx[slot_idx], np.cumsum(rest) - rest, in_idx[tail_idx])
 
 
 def coo_spmm(plan: CooPlan, v: np.ndarray, n: int) -> np.ndarray:
-    """``out[out_idx] += w · v[in_idx]`` — sparse times dense, ``(n, v.shape[1])``.
+    """``out[out_idx] += v[in_idx]`` — the pattern times dense, ``(n, v.shape[1])``.
 
+    A pure gather-add: weights that factor as diagonal scalings are
+    applied by the caller, once per row rather than once per entry.
     Temporaries are at most ``(rows, width)``, plus the heavy rows' tail.
     """
     acc = np.zeros((len(plan.rows), v.shape[1]))
     bounds = plan.bounds.tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
-        slot = v[plan.cols[a:b]]  # at most (rows, width), scaled in place
-        slot *= plan.w[a:b]
-        acc[: b - a] += slot
+        acc[: b - a] += v[plan.cols[a:b]]
     if len(plan.tail_starts):
-        tail = v[plan.tail_cols]
-        tail *= plan.tail_w
-        acc[: len(plan.tail_starts)] += np.add.reduceat(tail, plan.tail_starts, axis=0)
+        acc[: len(plan.tail_starts)] += np.add.reduceat(v[plan.tail_cols], plan.tail_starts, axis=0)
     out = np.zeros((n, v.shape[1]))
     out[plan.rows] = acc
     return out

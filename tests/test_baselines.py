@@ -10,6 +10,7 @@ from repro.baselines.common import (
     row_norm_attr,
     smoothed_attrs,
     sym_norm_adj,
+    sym_norm_op,
 )
 from repro.baselines.netmf import netmf_lite
 from repro.baselines.nrp import nrp_lite
@@ -31,31 +32,37 @@ def lsplit(g):
 
 
 def _coo_case(name):
-    """``(out_idx, in_idx, w, v, n)`` for one SpMM kernel input."""
+    """``(out_idx, in_idx, r, v, n)`` for one SpMM kernel input; ``r`` is a row scale."""
     rng = np.random.default_rng(0)
     n, m, width = 15, 60, 4
     oi = rng.integers(0, n, m)
     ii = rng.integers(0, n, m)
-    w = rng.random(m)
     if name == "empty":
-        oi, ii, w = oi[:0], ii[:0], w[:0]
+        oi, ii = oi[:0], ii[:0]
     elif name == "one-row":  # a star's hub: fewer rows than a slot needs
         oi = np.full(m, 3)
     elif name == "slots-and-tail":  # 40 rows of 3 entries, and a hub row of 200
         n = 40
         oi = np.r_[np.repeat(np.arange(n), 3), np.full(200, 5)]
         ii = rng.integers(0, n, len(oi))
-        w = rng.random(len(oi))
     elif name == "repeated-pairs":
-        oi, ii, w = np.tile(oi[:6], 10), np.tile(ii[:6], 10), rng.random(m)
+        oi, ii = np.tile(oi[:6], 10), np.tile(ii[:6], 10)
     elif name == "sorted-descending":
         oi = np.sort(oi)[::-1].copy()
     elif name == "int32":
         oi, ii = oi.astype(np.int32), ii.astype(np.int32)
     elif name == "width-1":
         width = 1
+    r = rng.random(n)
     v = rng.standard_normal((n, width))
-    return oi, ii, w, v, n
+    return oi, ii, r, v, n
+
+
+def _sym_norm_dense(n, s, t, dis):
+    """The assembled ``diag(dis)·(A+I)·diag(dis)`` of ``sym_norm_adj``'s output."""
+    a = np.zeros((n, n))
+    np.add.at(a, (s, t), 1.0)  # a self-loop of the input adds to I's
+    return dis[:, None] * a * dis[None, :]
 
 
 class TestCommonKernels:
@@ -65,18 +72,19 @@ class TestCommonKernels:
          "sorted-descending", "int32", "width-1"],
     )
     def test_spmv_coo_matches_dense(self, case):
-        oi, ii, w, v, n = _coo_case(case)
+        oi, ii, r, v, n = _coo_case(case)
         dense = np.zeros((n, n))
-        np.add.at(dense, (oi, ii), w)
-        plan = coo_plan(oi, ii, w)
-        assert np.allclose(coo_spmm(plan, v, n), dense @ v)
+        np.add.at(dense, (oi, ii), 1.0)
+        plan = coo_plan(oi, ii)
+        assert np.allclose(r[:, None] * coo_spmm(plan, v, n), np.diag(r) @ dense @ v)
         # Every slot spans _MIN_SLOT_ROWS rows or more, so a hub row's
         # entries go through the tail, not one slot each.
         assert np.all(np.diff(plan.bounds) >= _MIN_SLOT_ROWS)
 
     def test_sym_norm_adj_symmetric(self):
-        s, t, w = sym_norm_adj(6, np.array([0, 1, 2]), np.array([1, 2, 3]))
-        pairs = {(a, b): c for a, b, c in zip(s.tolist(), t.tolist(), w.tolist())}
+        s, t, dis = sym_norm_adj(6, np.array([0, 1, 2]), np.array([1, 2, 3]))
+        a = _sym_norm_dense(6, s, t, dis)
+        pairs = {(i, j): a[i, j] for i, j in zip(s.tolist(), t.tolist())}
         for (a, b), c in pairs.items():
             assert pairs.get((b, a)) == pytest.approx(c)
 
@@ -85,10 +93,16 @@ class TestCommonKernels:
         rng = np.random.default_rng(1)
         src = rng.integers(0, 20, 60)
         dst = rng.integers(0, 20, 60)
-        s, t, w = sym_norm_adj(20, src, dst)
-        a = np.zeros((20, 20))
-        a[s, t] = w
+        a = _sym_norm_dense(20, *sym_norm_adj(20, src, dst))
         assert np.abs(np.linalg.eigvalsh((a + a.T) / 2)).max() <= 1 + 1e-9
+
+    def test_sym_norm_op_matches_dense(self):
+        """``Â·v`` as two scalings around the gather-add equals the assembled ``Â`` times ``v``."""
+        rng = np.random.default_rng(2)
+        src, dst = rng.integers(0, 20, 60), rng.integers(0, 20, 60)
+        v = rng.standard_normal((20, 3))
+        a = _sym_norm_dense(20, *sym_norm_adj(20, src, dst))
+        assert np.allclose(sym_norm_op(20, src, dst)(v), a @ v)
 
     def test_row_norm_attr(self):
         r = row_norm_attr(

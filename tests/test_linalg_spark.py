@@ -6,8 +6,8 @@ to land block ``i`` alone in partition ``i`` (its Murmur3 keys are
 checked against Spark's ``hash()``), and ``map_blocks`` for its
 contract: one job per pass, block order, cells of any shape read back
 as stored, no change to rows it does not write, and no zip importer left
-cached in a worker between passes. The COO kernels both
-pipelines share (walk weights, jagged-diagonal SpMM, normalizations) are
+cached in a worker between passes. The COO kernels both pipelines
+share (``1/outdeg``, the jagged-diagonal gather-add, normalizations) are
 checked against dense NumPy references and — where the operation is
 SQL-expressible — against the DuckDB oracle (``tests/oracle.py``), so a
 wrong gather or aggregation is caught as a wrong *result*.
@@ -28,13 +28,13 @@ from repro.datasets import attributed_graph
 from repro.linalg import (
     coo_plan,
     coo_spmm,
+    inv_out_degree,
     map_blocks,
     node_blocks,
     normalize_cols,
     normalize_rows,
     pin_blocks,
     state_to_numpy,
-    walk_weights,
 )
 from repro.linalg.matrix import evict_zip_importers, spark_hash_int
 from tests.oracle import assert_equivalent
@@ -198,7 +198,7 @@ class TestCells:
 class TestWalkEdges:
     def test_weights_vs_duckdb(self, spark):
         src, dst = _random_graph(seed=2)
-        got = pd.DataFrame({"src": src, "dst": dst, "w": walk_weights(30, src)})
+        got = pd.DataFrame({"src": src, "dst": dst, "w": inv_out_degree(30, src)[src]})
         assert_equivalent(
             spark.createDataFrame(got),
             """
@@ -213,7 +213,7 @@ class TestWalkEdges:
 
     def test_rows_sum_to_one(self):
         src, dst = _random_graph(seed=3)
-        sums = np.bincount(src, weights=walk_weights(30, src), minlength=30)
+        sums = np.bincount(src, weights=inv_out_degree(30, src)[src], minlength=30)
         assert np.allclose(sums[np.unique(src)], 1.0)
 
 
@@ -233,24 +233,26 @@ class TestSpmm:
         mat = np.random.default_rng(5).standard_normal((n, dcols))
         p = _p_dense(n, src, dst)
         expected = (p.T if transpose else p) @ mat
-        w = walk_weights(n, src)
-        plan = coo_plan(dst, src, w) if transpose else coo_plan(src, dst, w)
-        got = np.hstack(
-            [coo_spmm(plan, blk, n) for blk in np.array_split(mat, nb, axis=1)]
-        )
+        inv = inv_out_degree(n, src)[:, None]
+        plan = coo_plan(dst, src) if transpose else coo_plan(src, dst)
+
+        def step(v):  # Pᵀ·v = Aᵀ·(D⁻¹v), P·v = D⁻¹·(A·v)
+            return coo_spmm(plan, inv * v, n) if transpose else inv * coo_spmm(plan, v, n)
+
+        got = np.hstack([step(blk) for blk in np.array_split(mat, nb, axis=1)])
         assert np.allclose(got, expected, atol=1e-10)
-        assert np.array_equal(got, coo_spmm(plan, mat, n))
+        assert np.array_equal(got, step(mat))
 
     def test_peak_memory_below_five_dense_blocks(self):
         """One product on the tweibo-attr shape allocates no nnz × width temporary."""
         g = attributed_graph(
             name="tweibo", seed=0, n=2000, d=200, m=37500, n_labels=8, avg_attrs=6
         )
-        plan = coo_plan(g.src, g.dst, walk_weights(g.n, g.src))
+        plan, inv = coo_plan(g.src, g.dst), inv_out_degree(g.n, g.src)[:, None]
         mat = np.random.default_rng(8).random((g.n, 200))
         tracemalloc.start()
         try:
-            coo_spmm(plan, mat, g.n)
+            inv * coo_spmm(plan, mat, g.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,8 +263,8 @@ class TestSpmm:
         n = 20
         src, dst = _random_graph(n=n, m=80, seed=6)
         vec = np.random.default_rng(7).random(n)
-        w = walk_weights(n, src)
-        out = coo_spmm(coo_plan(src, dst, w), vec[:, None], n)[:, 0]
+        w = inv_out_degree(n, src)[src]
+        out = inv_out_degree(n, src) * coo_spmm(coo_plan(src, dst), vec[:, None], n)[:, 0]
         rows = np.unique(src)
         got = pd.DataFrame({"node": rows, "val": out[rows]})
         assert_equivalent(
@@ -280,8 +282,7 @@ class TestSpmm:
         # star graph: only node 0 has out-edges → only row 0 is nonzero
         src = np.array([0, 0, 0], dtype=np.int64)
         dst = np.array([1, 2, 3], dtype=np.int64)
-        plan = coo_plan(src, dst, walk_weights(4, src))
-        out = coo_spmm(plan, np.ones((4, 2)), 4)
+        out = inv_out_degree(4, src)[:, None] * coo_spmm(coo_plan(src, dst), np.ones((4, 2)), 4)
         assert np.allclose(out, [[1.0, 1.0], [0, 0], [0, 0], [0, 0]])
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.affinity import affinities_spark_to_numpy, apmi_numpy, papmi_from_states
+from repro.core.affinity import BLOCK_WIDTH, affinities_spark_to_numpy, apmi_numpy, papmi_from_states
 
 
 def _instance(n=24, d=7, deg=3, seed=0):
@@ -52,6 +52,16 @@ class TestLemma41:
         fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, alpha, t, nb)
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         _assert_papmi_equals_apmi(f, b, f_ref, b_ref, _bit_for_bit(d, nb))
+
+    def test_apmi_blocks_straddle_column_blocks(self, spark):
+        """APMI's own column blocks (2 of 35 at d=70) cut across PAPMI's (24, 23, 23): still bit for bit."""
+        n, d, nb = 40, 70, 3
+        assert -(-d // BLOCK_WIDTH) == 2 and _bit_for_bit(d, nb)
+        src, dst, node, attr, w = _instance(n, d, seed=3)
+        f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, 0.5, 5)
+        fs, bs = papmi_from_states(spark, n, d, src, dst, node, attr, w, 0.5, 5, nb)
+        f, b = affinities_spark_to_numpy(fs, bs, n, d)
+        _assert_papmi_equals_apmi(f, b, f_ref, b_ref, True)
 
     @pytest.mark.parametrize("alpha,t", [(0.3, 3), (0.7, 8)])
     def test_parameter_variants(self, spark, alpha, t):

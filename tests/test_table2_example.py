@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.affinity import apmi_numpy
 from repro.datasets import figure1_example
-from repro.walks.simulate import (
+from tests.walks import (
     Graph,
     empirical_affinities,
     exact_walk_probs,

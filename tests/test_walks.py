@@ -1,8 +1,8 @@
-"""Tests for the Monte-Carlo random-walk substrate (DESIGN.md system #3)."""
+"""Tests for the Monte-Carlo random-walk oracle (``tests/walks.py``, DESIGN.md system #3)."""
 import numpy as np
 import pytest
 
-from repro.walks.simulate import (
+from tests.walks import (
     Graph,
     empirical_affinities,
     exact_walk_probs,

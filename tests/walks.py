@@ -1,8 +1,11 @@
-"""Forward/backward RWR sampling and exact walk probabilities (Section 2.2).
+"""Monte-Carlo random-walk oracle on the extended graph (Section 2.2).
 
-Everything here operates on small in-memory graphs (the validator runs
-on toy instances); the production path never samples walks — that is
-the whole point of APMI (Algorithm 2).
+APMI's closed-form affinities (Algorithm 2) are tested against the
+paper's probabilistic model: forward/backward random walks with restart
+on the extended node∪attribute graph, including footnote 1's
+restart-on-attributeless-node rule, sampled here or solved exactly.
+Everything operates on small in-memory graphs; the library never samples
+a walk, which is the whole point of APMI, and never imports this module.
 """
 from __future__ import annotations
 
