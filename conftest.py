@@ -1,10 +1,13 @@
+import glob
 import os
 import sys
+import tempfile
 
 import pytest
 from pyspark.sql import SparkSession
 
 from jobs._session import build_session
+from repro.linalg.matrix import PARTS_DIR_PREFIX
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +24,14 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_pin_blocks_directory_left():
+    """Fail the run if a ``pin_blocks`` directory that appeared during it
+    is still in the temp dir when it ends."""
+    pattern = os.path.join(tempfile.gettempdir(), PARTS_DIR_PREFIX + "*")
+    before = set(glob.glob(pattern))
+    yield
+    left = sorted(set(glob.glob(pattern)) - before)
+    assert not left, f"pin_blocks left these directories behind: {left}"

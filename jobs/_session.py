@@ -1,8 +1,10 @@
 """The one SparkSession builder, for the job entry points and the test suite.
 
-Local mode (``SPARK_MASTER``, default ``local[*]``), Arrow on, broadcast
-joins off, quiet progress bars. Driver memory is read when the JVM
-launches, so it goes into ``PYSPARK_SUBMIT_ARGS`` before the first
+Local mode (``SPARK_MASTER``, default ``local[*]``; ``pin_blocks``
+refuses any other master), Arrow on, quiet progress bars. The library's
+stages run no shuffle, so the 32 shuffle partitions serve only the
+tests' own ``orderBy`` and ``distinct``. Driver memory is read when the
+JVM launches, so it goes into ``PYSPARK_SUBMIT_ARGS`` before the first
 session is built.
 """
 import os
@@ -32,10 +34,8 @@ def build_session(app: str):
 
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
+        .config("spark.sql.shuffle.partitions", 32)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -22,7 +22,10 @@ APMI calls each once over all ``d`` columns. PAPMI partitions the
 attribute set, as the paper does: the columns of ``Pf``/``Pb`` propagate
 independently (Lemma 4.1), so each of ``min(nb, d)`` column-block tasks
 runs the first kernel on its own slice, and each node block then runs the
-second on its ``Pb`` rows; ``linalg.matrix.pin_blocks`` runs both.
+second on its ``Pb`` rows. ``linalg.matrix.pin_blocks`` runs both stages,
+one task per partition, and hands each node block its rows from every
+column task through files, as the paper's threads share memory: no
+shuffle, and PAPMI is two jobs.
 """
 from __future__ import annotations
 

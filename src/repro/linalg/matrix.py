@@ -14,15 +14,19 @@ state's schema, cell format, placement and checkpoint policy; the
 algorithm modules hand it plain NumPy functions. ``pin_blocks`` builds
 a state, each node block in its own partition; ``map_blocks`` runs one
 NumPy step on every block, a narrow map, so no row moves between tasks
-from there to the final collect (``state_to_numpy``). Every Python UDF
+from there to the final collect (``state_to_numpy``). No stage shuffles:
+``pin_blocks``' transpose passes through files, so the driver and its
+tasks must share one box (local mode). Every Python UDF
 runs through ``_map``, which leaves its worker no cached zip importer
 (``evict_zip_importers``).
 """
 from __future__ import annotations
 
 import functools
+import os
 import pickle
 import sys
+import tempfile
 import zipimport
 from typing import Any, Callable, Sequence
 
@@ -32,40 +36,12 @@ from pyspark.sql import DataFrame, SparkSession
 
 STATE_SCHEMA = "block int, node array<long>, m binary, x binary"
 _pack = functools.partial(pickle.dumps, protocol=5)  # a cell holds one pickled value
+PARTS_DIR_PREFIX = "pin_blocks-"  # the name prefix of pin_blocks' run-scoped directory
 
 
 def node_blocks(n: int, nb: int) -> list[np.ndarray]:
     """The sorted node ids of each non-empty block: block ``i`` is ``i, i+nb, …``."""
     return [np.arange(blk, n, nb) for blk in range(min(nb, n))]
-
-
-def spark_hash_int(value: int) -> int:
-    """Spark SQL's ``hash()`` of an ``int``: Murmur3_x86_32 ``hashInt``, seed 42."""
-
-    def mul(a, b):
-        return a * b & 0xFFFFFFFF
-
-    def rotl(x, r):
-        return (x << r | x >> (32 - r)) & 0xFFFFFFFF
-
-    k1 = mul(rotl(mul(value & 0xFFFFFFFF, 0xCC9E2D51), 15), 0x1B873593)
-    h1 = (rotl(42 ^ k1, 13) * 5 + 0xE6546B64) & 0xFFFFFFFF
-    h1 ^= 4  # the input's length in bytes
-    h1 = mul(h1 ^ h1 >> 16, 0x85EBCA6B)
-    h1 = mul(h1 ^ h1 >> 13, 0xC2B2AE35)
-    h1 ^= h1 >> 16
-    return h1 - (1 << 32) if h1 >> 31 else h1
-
-
-def placement_keys(nb: int) -> list[int]:
-    """Key ``i`` is the smallest int ``>= 0`` that Spark's hash partitioner
-    into ``nb`` partitions (``pmod(hash(key), nb)``) sends to partition ``i``."""
-    keys = {}
-    key = 0
-    while len(keys) < nb:
-        keys.setdefault(spark_hash_int(key) % nb, key)
-        key += 1
-    return [keys[i] for i in range(nb)]
 
 
 def evict_zip_importers() -> None:
@@ -98,41 +74,55 @@ def _map(df: DataFrame, fn: Callable, schema: str) -> DataFrame:
 def pin_blocks(
     spark: SparkSession, n: int, nb: int, tasks: Sequence, scatter: Callable, gather: Callable
 ) -> DataFrame:
-    """The state whose block ``i`` has ``m = gather(ids, parts)``, ``x = None``.
+    """The state whose block ``j`` has ``m = gather(ids, parts)``, ``x = None``.
 
-    One task per element of ``tasks``, each in its own partition, calls
-    ``scatter(task)`` for one value per node block of ``node_blocks(n,
-    nb)``. One hash shuffle then lands node block ``i`` alone in partition
-    ``i``: each value is keyed by its block's ``placement_keys``, and
-    ``gather`` gets the block's node ids and its value from every task,
-    in task order. The state is checkpointed eagerly, in two jobs: the
-    shuffle's map stage and the gather.
+    Column task ``i`` calls ``scatter(tasks[i])`` for one value per node
+    block of ``node_blocks(n, nb)`` and pickles the value for block ``j``
+    to ``<dir>/<j>.<i>``; node block ``j``'s task then reads its parts
+    back, in task order, and ``gather`` gets the block's node ids and
+    those parts. Each stage is a ``spark.range`` with one row per
+    partition, so task ``i`` runs alone in partition ``i``, node block
+    ``j`` lands alone in partition ``j``, and nothing is shuffled. The
+    state is checkpointed eagerly, in two jobs: the column stage and the
+    node stage. ``<dir>`` is a ``TemporaryDirectory`` removed before this
+    returns or raises. The driver and every task must share its
+    filesystem, so the session must run in local mode.
     """
+    master = spark.sparkContext.master
+    if master != "local" and not master.startswith("local["):
+        raise ValueError(
+            f"pin_blocks passes parts through a local directory, so it needs a "
+            f"local-mode session; got master {master!r}"
+        )
     blocks = node_blocks(n, nb)
-    keys = placement_keys(len(blocks))
+    with tempfile.TemporaryDirectory(prefix=PARTS_DIR_PREFIX) as parts_dir:
 
-    def scatter_tasks(batches):
-        for pdf in batches:
-            for i in pdf["id"]:
-                parts = [_pack(p) for p in scatter(tasks[i])]
-                yield pd.DataFrame(
-                    {"block": range(len(blocks)), "key": keys, "task": i, "part": parts}
-                )
+        def path(blk, task):
+            return os.path.join(parts_dir, f"{blk}.{task}")
 
-    def pin(batches):
-        for blk, rows in pd.concat(list(batches)).groupby("block"):  # one block, once pinned
-            ids = blocks[blk]
-            parts = [pickle.loads(p) for p in rows.sort_values("task")["part"]]
-            m = _pack(gather(ids, parts))
-            yield pd.DataFrame({"block": [blk], "node": [ids], "m": [m], "x": [_pack(None)]})
+        def scatter_tasks(batches):
+            for pdf in batches:
+                for i in pdf["id"]:
+                    for blk, part in enumerate(scatter(tasks[i])):
+                        with open(path(blk, i), "wb") as f:
+                            pickle.dump(part, f, protocol=5)
+                yield pdf
 
-    parts = _map(
-        spark.range(len(tasks), numPartitions=len(tasks)),
-        scatter_tasks,
-        "block int, key int, task int, part binary",
-    )
-    state = _map(parts.repartition(len(blocks), "key"), pin, STATE_SCHEMA)
-    return state.localCheckpoint(eager=True)
+        def load(blk, task):
+            with open(path(blk, task), "rb") as f:
+                return pickle.load(f)
+
+        def pin(batches):
+            for pdf in batches:
+                for blk in pdf["id"]:
+                    ids = blocks[blk]
+                    m = _pack(gather(ids, [load(blk, i) for i in range(len(tasks))]))
+                    x = _pack(None)
+                    yield pd.DataFrame({"block": [blk], "node": [ids], "m": [m], "x": [x]})
+
+        _map(spark.range(len(tasks), numPartitions=len(tasks)), scatter_tasks, "id long").collect()
+        state = _map(spark.range(len(blocks), numPartitions=len(blocks)), pin, STATE_SCHEMA)
+        return state.localCheckpoint(eager=True)
 
 
 def map_blocks(

@@ -1,9 +1,10 @@
 """Tests for the linear-algebra substrate (system #1).
 
 The state layout (one row per node block) is round-tripped on Spark;
-``pin_blocks`` is checked to hand each block its parts in task order and
-to land block ``i`` alone in partition ``i`` (its Murmur3 keys are
-checked against Spark's ``hash()``), and ``map_blocks`` for its
+``pin_blocks`` is checked to hand each block its parts in task order, to
+land block ``i`` alone in partition ``i``, to refuse a session that is
+not in local mode and to leave no directory behind, whether it returns
+or raises, and ``map_blocks`` for its
 contract: one job per pass, block order, cells of any shape read back
 as stored, no change to rows it does not write, and no zip importer left
 cached in a worker between passes. The COO kernels both pipelines
@@ -14,10 +15,13 @@ wrong gather or aggregation is caught as a wrong *result*.
 """
 import importlib
 import os
+import re
 import sys
+import tempfile
 import tracemalloc
 import zipfile
 import zipimport
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -36,7 +40,7 @@ from repro.linalg import (
     pin_blocks,
     state_to_numpy,
 )
-from repro.linalg.matrix import evict_zip_importers, spark_hash_int
+from repro.linalg.matrix import evict_zip_importers
 from tests.oracle import assert_equivalent
 from tests.spark_states import pinned_state
 
@@ -127,14 +131,45 @@ class TestPinBlocks:
         )
         assert np.array_equal(state_to_numpy(st, n, 3), np.broadcast_to([5, 2, 7], (2, n, 3)))
 
+    @pytest.mark.parametrize("raises", [None, "scatter", "gather"])
+    def test_no_directory_outlives_the_call(self, spark, tmp_path, monkeypatch, raises):
+        """The parts' directory is gone when the call returns, and when
+        ``scatter`` or ``gather`` raises; the returned state stays readable."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        n, nb = 10, 3
+        blocks = node_blocks(n, nb)
+
+        def fail(where):
+            if where == raises:
+                raise RuntimeError(f"{where} failed on purpose")
+
+        def scatter(task):
+            fail("scatter")
+            return [np.full((2, len(ids), 1), float(task)) for ids in blocks]
+
+        def gather(ids, parts):
+            fail("gather")
+            return np.concatenate(parts, axis=2)
+
+        if raises is None:
+            st = pin_blocks(spark, n, nb, [1, 2], scatter, gather)
+            assert np.array_equal(state_to_numpy(st, n, 2), np.broadcast_to([1, 2], (2, n, 2)))
+        else:
+            with pytest.raises(Exception, match=f"{raises} failed on purpose"):
+                pin_blocks(spark, n, nb, [1, 2], scatter, gather)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("master", ["yarn", "spark://box:7077", "local-cluster[2,1,1024]"])
+    def test_rejects_a_session_not_in_local_mode(self, tmp_path, monkeypatch, master):
+        """Tasks off the driver's box could not read the parts' directory."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        session = SimpleNamespace(sparkContext=SimpleNamespace(master=master))
+        with pytest.raises(ValueError, match=re.escape(repr(master))):
+            pin_blocks(session, 4, 2, [0], lambda task: [None, None], lambda ids, parts: None)
+        assert not list(tmp_path.iterdir())
+
 
 class TestPlacement:
-    def test_hash_int_equals_spark_hash(self, spark):
-        values = [*range(-500, 500), -(2**31), 2**31 - 1]
-        df = spark.createDataFrame([(v,) for v in values], "v int")
-        rows = df.select("v", F.hash("v")).collect()
-        assert [spark_hash_int(v) for v, _ in rows] == [h for _, h in rows]
-
     @pytest.mark.parametrize("n,nb", [(10, nb) for nb in range(1, 10)] + [(5, 8)])
     def test_block_i_alone_in_partition_i(self, spark, n, nb):
         mat = np.ones((n, 1))

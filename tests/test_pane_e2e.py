@@ -1,6 +1,8 @@
 """End-to-end PANE tests: Algorithm 1 vs Algorithm 5, scoring APIs, ablations."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
 from repro.core.ccd import objective, psvdccd_spark, svdccd_numpy
@@ -11,6 +13,7 @@ from repro.eval.metrics import roc_auc
 from repro.eval.splits import attribute_split, link_split
 from repro.linalg import node_blocks
 from tests.spark_states import partition_blocks
+from tests.test_papmi import _degenerate_graphs
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +278,34 @@ class TestHalfWidthAboveD:
         f, b = apmi_numpy(*args, 0.5, num_iterations(0.015, 0.5))
         scale = np.sum(f**2) + np.sum(b**2)
         assert objective(f, b, emb.xf, emb.xb, emb.y) <= 1e-20 * scale
+
+
+_ID_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@given(_degenerate_graphs(), st.integers(1, 4), st.sampled_from(_ID_DTYPES))
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_both_drivers_fit_degenerate_graphs(spark, case, extra, dtype):
+    """k/2 > d on graphs with every degenerate node kind, ids of a drawn
+    integer dtype and ``nb`` up to n+2: both drivers reach Eq. (4)'s zero,
+    and both embed every node that has a nonzero F' or B' row.
+
+    The converse is not asserted: ``pane_numpy`` may embed an all-zero
+    affinity row as rounding noise where ``pane_spark`` gives exact zeros.
+    """
+    n, d, src, dst, node, attr, w, nb = case
+    k = 2 * (d + extra)
+    ids = [a.astype(dtype) for a in (src, dst, node, attr)]
+    f, b = apmi_numpy(n, d, src, dst, node, attr, w, 0.5, num_iterations(0.015, 0.5))
+    scale = np.sum(f**2) + np.sum(b**2)
+    has_affinity = (f != 0).any(axis=1) | (b != 0).any(axis=1)
+    for emb in (
+        pane_numpy(n, d, *ids, w, k=k, seed=0),
+        pane_spark(spark, n, d, *ids, w, k=k, nb=nb, seed=0),
+    ):
+        assert objective(f, b, emb.xf, emb.xb, emb.y) <= 1e-20 * scale
+        embedded = (emb.xf != 0).any(axis=1) | (emb.xb != 0).any(axis=1)
+        assert embedded[has_affinity].all()
 
 
 class TestIdDtypes:
